@@ -1028,6 +1028,52 @@ let stm_alloc_check ?(hot = true) () =
     exit 1
   end
 
+(* Acceptance gate for the int-only scheduler heap: scheduler turnover
+   (re-key, pop, and the fused re-insert-and-pick the run-ahead loop makes
+   once per slice) must not allocate. One million mixed operations on a
+   12-thread heap, with keys from an inline LCG so the loop itself allocates
+   nothing either; the budget absorbs the boxed floats [Gc.minor_words]
+   itself returns. *)
+let sched_alloc_check () =
+  Format.fprintf fmt
+    "@.=== steady-state allocation per scheduler heap operation ===@.";
+  let threads = 12 and ops = 1_000_000 in
+  let code = (Rvm.Compiler.compile_string "nil").Rvm.Value.main in
+  let th =
+    Array.init threads (fun tid ->
+        Rvm.Vmthread.create ~tid ~stack_base:0 ~stack_limit:64 ~struct_base:0
+          ~obj:0 ~code)
+  in
+  let h = Core.Sched.create ~dummy:th.(0) in
+  let seed = ref 1 in
+  let loop () =
+    Array.iter (fun t -> Core.Sched.push h ~key:0 t) th;
+    let out = ref th.(0) in
+    for i = 1 to ops do
+      seed := (!seed * 1103515245) + 12345;
+      let key = (!seed lsr 16) land 0xffff in
+      match i mod 4 with
+      | 0 -> Core.Sched.push h ~key th.((!seed lsr 8) mod threads)
+      | 1 ->
+          out := Core.Sched.pop_min h;
+          Core.Sched.push h ~key !out
+      | _ -> out := Core.Sched.push_pop h ~key !out
+    done;
+    Core.Sched.clear h
+  in
+  loop ();
+  (* warm: position and thread tables grown *)
+  let w0 = Gc.minor_words () in
+  loop ();
+  let w1 = Gc.minor_words () in
+  let per_op = (w1 -. w0) /. float_of_int ops in
+  Format.fprintf fmt "%.5f minor words per operation (budget 0.00001)@."
+    per_op;
+  if per_op > 0.00001 then begin
+    Format.eprintf "FAIL: scheduler heap operations allocate@.";
+    exit 1
+  end
+
 (* The Gc-based gates alone, without the Bechamel suite: cheap enough for
    the smoke script and CI to run on every push. *)
 let gates () =
@@ -1038,6 +1084,7 @@ let gates () =
   step_alloc_check ();
   threaded_step_alloc_check ();
   compiled_step_alloc_check ();
+  sched_alloc_check ();
   intxn_pair_check ()
 
 let micro () =
@@ -1052,6 +1099,7 @@ let micro () =
   step_alloc_check ();
   threaded_step_alloc_check ();
   compiled_step_alloc_check ();
+  sched_alloc_check ();
   intxn_pair_check ()
 
 let () =

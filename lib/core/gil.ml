@@ -51,7 +51,9 @@ let acquired_cell t = t.vm.Rvm.Vm.g_gil
 (* Engine read: inside a transaction this subscribes the GIL word into the
    read set (Figure 1 line 15). *)
 let read_acquired t (th : Rvm.Vmthread.t) =
-  Htm.read t.vm.Rvm.Vm.htm ~ctx:th.ctx (acquired_cell t) <> Rvm.Value.VInt 0
+  match Htm.read t.vm.Rvm.Vm.htm ~ctx:th.ctx (acquired_cell t) with
+  | Rvm.Value.VInt 0 -> false
+  | _ -> true
 
 let held_by t (th : Rvm.Vmthread.t) = t.owner = th.tid
 
@@ -62,7 +64,7 @@ let take t (th : Rvm.Vmthread.t) =
   t.owner <- th.tid;
   t.acquisitions <- t.acquisitions + 1;
   let costs = t.vm.Rvm.Vm.machine.costs in
-  th.clock <- max th.clock t.free_since + costs.cyc_gil_acquire;
+  th.clock <- Int.max th.clock t.free_since + costs.cyc_gil_acquire;
   (* software transactions live across an acquisition can never commit (the
      scheme's lock-dirty check refuses them) and must not run as zombies
      while the holder mutates the store around the engine (GC) *)

@@ -277,7 +277,9 @@ let create ?(io : Netsim.t option) cfg ~source =
      global bump pointer is touched far more often than on Linux *)
   let opts =
     if cfg.machine.Machine.malloc_thread_local then opts
-    else { opts with Rvm.Options.malloc_chunk = min opts.Rvm.Options.malloc_chunk 256 }
+    else
+      { opts with
+        Rvm.Options.malloc_chunk = Int.min opts.Rvm.Options.malloc_chunk 256 }
   in
   let session = Rvm.Session.create ~opts ~htm_mode:(Scheme.htm_mode cfg.scheme) cfg.machine ~source in
   let vm = session.Rvm.Session.vm in
@@ -468,9 +470,9 @@ let create ?(io : Netsim.t option) cfg ~source =
       let m_service = Obs.Metrics.histogram metrics "req.service_cycles" in
       Netsim.set_on_close nio (fun (c : Netsim.conn) ~now ->
           let accepted = if c.Netsim.accepted_at > 0 then c.Netsim.accepted_at else c.Netsim.arrived in
-          let queue_c = max 0 (accepted - c.Netsim.arrived) in
-          let service_c = max 0 (now - accepted) in
-          Obs.Metrics.observe m_latency (max 0 (now - c.Netsim.arrived));
+          let queue_c = Int.max 0 (accepted - c.Netsim.arrived) in
+          let service_c = Int.max 0 (now - accepted) in
+          Obs.Metrics.observe m_latency (Int.max 0 (now - c.Netsim.arrived));
           Obs.Metrics.observe m_queue queue_c;
           Obs.Metrics.observe m_service service_c;
           match t.tracer with
@@ -479,7 +481,7 @@ let create ?(io : Netsim.t option) cfg ~source =
               Obs.Trace.emit tr
                 {
                   Obs.Event.ts = now;
-                  tid = max 0 c.Netsim.served_by;
+                  tid = Int.max 0 c.Netsim.served_by;
                   ctx = -1;
                   kind =
                     Obs.Event.Req_span
@@ -488,10 +490,10 @@ let create ?(io : Netsim.t option) cfg ~source =
                         queue_cycles = queue_c;
                         first_byte_cycles =
                           (if c.Netsim.first_byte_at > 0 then
-                             max 0 (c.Netsim.first_byte_at - accepted)
+                             Int.max 0 (c.Netsim.first_byte_at - accepted)
                            else -1);
                         service_cycles = service_c;
-                        total_cycles = max 0 (now - c.Netsim.arrived);
+                        total_cycles = Int.max 0 (now - c.Netsim.arrived);
                       };
                 }));
   t
@@ -509,7 +511,7 @@ let emit t (th : V.t) kind =
 let ensure_tid t tid =
   let n = Array.length t.outside in
   if tid >= n then begin
-    let m = max (2 * n) (tid + 1) in
+    let m = Int.max (2 * n) (tid + 1) in
     let grow_bool a d =
       let b = Array.make m d in
       Array.blit a 0 b 0 n;
@@ -569,7 +571,7 @@ let release_ctx t (th : V.t) =
       t.ctx_queued.(w.tid) <- false;
       ignore (grant_ctx t w);
       if w.status = V.Waiting_ctx then w.status <- V.Runnable;
-      w.clock <- max w.clock th.clock;
+      w.clock <- Int.max w.clock th.clock;
       sched_sync t w
     end
   end
@@ -581,7 +583,7 @@ let park t (th : V.t) reason =
   sched_sync t th
 
 let wake t (th : V.t) ~at =
-  th.clock <- max th.clock at;
+  th.clock <- Int.max th.clock at;
   (match th.status with
   | V.Blocked _ -> th.status <- V.Runnable
   | V.Runnable | V.Waiting_ctx | V.Finished -> ());
@@ -589,7 +591,7 @@ let wake t (th : V.t) ~at =
   sched_sync t th
 
 let wake_gil_waiter t (th : V.t) ~at =
-  let waited = max 0 (at - t.park_clock.(th.tid)) in
+  let waited = Int.max 0 (at - t.park_clock.(th.tid)) in
   t.breakdown.bd_gil_wait <- t.breakdown.bd_gil_wait + waited;
   th.cyc_gil_wait <- th.cyc_gil_wait + waited;
   Obs.Metrics.observe t.m_gil_wait waited;
@@ -653,7 +655,7 @@ let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
     else "?"
   in
   V.restore th;
-  let wasted = max 0 (th.clock - th.txn_start_clock) in
+  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
   th.cyc_aborted <- th.cyc_aborted + wasted;
   t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
   let htm = t.vm.Rvm.Vm.htm in
@@ -716,7 +718,7 @@ let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
     else "?"
   in
   V.restore th;
-  let wasted = max 0 (th.clock - th.txn_start_clock) in
+  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
   th.cyc_aborted <- th.cyc_aborted + wasted;
   t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
   let stm = stm_of t in
@@ -849,10 +851,10 @@ let stm_commit t (th : V.t) =
         + (rs * (costs t).cyc_stm_valid_line)
         + (ws * (costs t).cyc_mem));
       Stm.commit stm ~ctx:th.ctx;
-      let in_txn_cycles = max 0 (th.clock - th.txn_start_clock) in
+      let in_txn_cycles = Int.max 0 (th.clock - th.txn_start_clock) in
       th.cyc_committed <- th.cyc_committed + in_txn_cycles;
       t.breakdown.bd_committed <- t.breakdown.bd_committed + in_txn_cycles;
-      let retries = max 0 (st.stm_retry_init - st.stm_retry_counter) in
+      let retries = Int.max 0 (st.stm_retry_init - st.stm_retry_counter) in
       Obs.Metrics.observe t.m_stm_committed in_txn_cycles;
       Obs.Metrics.observe t.m_txn_rs rs;
       Obs.Metrics.observe t.m_txn_ws ws;
@@ -1046,8 +1048,8 @@ let handle_stm_abort t (th : V.t) =
     st.stm_retry_counter <- st.stm_retry_counter - 1;
     if st.stm_retry_counter > 0 then begin
       (* contention manager: bounded randomized exponential backoff *)
-      let attempt = max 0 (st.stm_retry_init - st.stm_retry_counter) in
-      th.clock <- th.clock + Prng.int t.prng (256 lsl min attempt 6);
+      let attempt = Int.max 0 (st.stm_retry_init - st.stm_retry_counter) in
+      th.clock <- th.clock + Prng.int t.prng (256 lsl Int.min attempt 6);
       ignore (stm_begin t th)
     end
     else begin
@@ -1105,7 +1107,7 @@ let transaction_end t (th : V.t) =
     in
     if lazy_killed then false
     else begin
-      let in_txn_cycles = max 0 (th.clock - th.txn_start_clock) in
+      let in_txn_cycles = Int.max 0 (th.clock - th.txn_start_clock) in
       let rs, ws = Htm.txn_footprint vm.Rvm.Vm.htm th.ctx in
       Htm.tend vm.Rvm.Vm.htm ~ctx:th.ctx;
       charge_txn_overhead t th (costs t).cyc_tend;
@@ -1255,7 +1257,7 @@ let drain_wakes t (th : V.t) =
                 | _ -> 0
               in
               Htm.write vm.Rvm.Vm.htm ~ctx:wctx (slot + Rvm.Layout.m_waiters)
-                (Rvm.Value.vint (max 0 (waiters - 1)));
+                (Rvm.Value.vint (Int.max 0 (waiters - 1)));
               wake t w ~at:th.clock
           | _ -> ())
       | Rvm.Vm.Wake_cond_one slot -> (
@@ -1347,7 +1349,7 @@ let advance_time t ~until =
         match Netsim.next_arrival io with Some a -> a | None -> max_int)
     | _ -> max_int
   in
-  let target = min sleeper arrival in
+  let target = Int.min sleeper arrival in
   if target = max_int then begin
     (* a fed arrival stream that is still open can deliver future work, so
        a bounded advance pauses at the horizon instead of deadlocking *)
@@ -1366,9 +1368,7 @@ let advance_time t ~until =
     (* wake sleepers due, each at its own deadline *)
     while Sched.min_key t.sleepq <= target do
       let at = Sched.min_key t.sleepq in
-      match Sched.pop_min t.sleepq with
-      | Some th -> wake t th ~at
-      | None -> ()
+      wake t (Sched.pop_min t.sleepq) ~at
     done;
     (* deliver connections *)
     (match t.io with
@@ -1405,7 +1405,8 @@ let step_thread t (th : V.t) =
   let vm = t.vm in
   let scheme = t.cfg.scheme in
   if th.tid <> t.last_tid then begin
-    if t.last_tid >= 0 then
+    (* guarded here, not in [emit]: building the event allocates *)
+    if t.last_tid >= 0 && Option.is_some t.tracer then
       emit t th (Obs.Event.Ctx_switch { prev_tid = t.last_tid });
     t.last_tid <- th.tid
   end;
@@ -1559,7 +1560,8 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
   let vm = t.vm in
   let scheme = t.cfg.scheme in
   if th.tid <> t.last_tid then begin
-    if t.last_tid >= 0 then
+    (* guarded here, not in [emit]: building the event allocates *)
+    if t.last_tid >= 0 && Option.is_some t.tracer then
       emit t th (Obs.Event.Ctx_switch { prev_tid = t.last_tid });
     t.last_tid <- th.tid
   end;
@@ -1596,7 +1598,7 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
       let head = th.pc in
       let fuse0 = Array.unsafe_get (!d).Rvm.Compiler.Dcode.fuse head in
       (* components left in the current superblock, counting this one *)
-      let budget = ref (max 1 fuse0) in
+      let budget = ref (Int.max 1 fuse0) in
       (* Tier 3: when this pc heads a superblock, look up its compiled
          entry (guarded by physical identity of the code, like the dcode
          cache); on a miss, bump the head's profile counter and compile
@@ -1746,10 +1748,7 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
                  continue_ := false
                end
                else begin
-                 let mk = Sched.min_key t.sched in
-                 if
-                   mk < th.clock
-                   || (mk = th.clock && Sched.min_tid t.sched > th.tid)
+                 if Sched.min_precedes t.sched ~key:th.clock ~tid:th.tid
                  then begin
                    fast := false;
                    continue_ := false
@@ -1898,11 +1897,8 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
               || stop ()
             then continue_ := false
             else begin
-              let mk = Sched.min_key t.sched in
-              if
-                mk < th.clock
-                || (mk = th.clock && Sched.min_tid t.sched > th.tid)
-              then continue_ := false
+              if Sched.min_precedes t.sched ~key:th.clock ~tid:th.tid then
+                continue_ := false
               else deliver_io t th
             end
           end
@@ -1913,12 +1909,15 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
     end
   end
 
-(* A run-ahead slice: [th] was popped as the (clock, tid)-minimal runnable
+(* A run-ahead slice: [th] was picked as the (clock, tid)-minimal runnable
    thread; execute its instructions in a tight loop until its key passes
    the heap's smallest (a newly-woken or spawned thread included — every
    transition re-syncs the heap mid-step), it stops being runnable, or a
    global stop condition trips. Equivalent to re-picking before every
-   instruction, without the scan. *)
+   instruction, without the scan. [th] stays out of the heap: the answer
+   says whether it is still runnable with a context, in which case the
+   caller owes it a re-insertion (folded into its next pick by
+   {!Sched.push_pop}). *)
 let run_slice t ~stop (main : V.t) (th : V.t) =
   t.running_tid <- th.tid;
   Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
@@ -1929,7 +1928,7 @@ let run_slice t ~stop (main : V.t) (th : V.t) =
   while !continue_ do
     deliver_io t th;
     if threaded then
-      slice := !slice + max 1 (step_thread_d t ~compiled ~stop main th)
+      slice := !slice + Int.max 1 (step_thread_d t ~compiled ~stop main th)
     else begin
       step_thread t th;
       incr slice
@@ -1943,14 +1942,13 @@ let run_slice t ~stop (main : V.t) (th : V.t) =
     then continue_ := false
     else begin
       (* run ahead while this thread is still the scheduler's choice *)
-      let mk = Sched.min_key t.sched in
-      if mk < th.clock || (mk = th.clock && Sched.min_tid t.sched > th.tid)
-      then continue_ := false
+      if Sched.min_precedes t.sched ~key:th.clock ~tid:th.tid then
+        continue_ := false
     end
   done;
   t.running_tid <- -1;
-  sched_sync t th;
-  Obs.Metrics.observe t.m_slice_insns !slice
+  Obs.Metrics.observe t.m_slice_insns !slice;
+  th.status = V.Runnable && th.ctx >= 0
 
 (* The result record is a pure read of the runner's current state, so a
    horizon-bounded [advance] can build it exactly when [run] would have. *)
@@ -1958,7 +1956,9 @@ let snapshot t =
   let vm = t.vm in
   let main = t.session.Rvm.Session.main in
   let wall =
-    List.fold_left (fun acc (th : V.t) -> max acc th.clock) 0 vm.Rvm.Vm.threads
+    List.fold_left
+      (fun acc (th : V.t) -> Int.max acc th.clock)
+      0 vm.Rvm.Vm.threads
   in
   (* fold netsim's exact high-watermarks into the gauges (sampling in
      [deliver_io] sees the queue only at delivery points) *)
@@ -2018,31 +2018,52 @@ let advance ?(stop = fun () -> false) t ~until =
   let paused = ref false in
   (try
      match t.cfg.sched with
-     | Sched_heap ->
+     | Sched_heap -> (
+         (* [carried] is the last slice's thread, still runnable but out
+            of the heap until the next pick re-inserts it; [carrying] says
+            whether there is one. Only the first exit can see it set (the
+            pick clears it before anything else runs), and it puts the
+            thread back so the heap is whole for [snapshot] and a resumed
+            [advance]. *)
+         let carried = ref main and carrying = ref false in
          let continue_run = ref true in
          while !continue_run do
            if
              main.V.status = V.Finished
              || stop ()
              || t.total_insns >= t.cfg.max_insns
-           then continue_run := false
-           else
-             match Sched.pop_min t.sched with
-             | Some th ->
-                 if th.V.clock > until then begin
-                   (* runnable, but its next step starts beyond the
-                      horizon: put it back and pause *)
-                   Sched.push t.sched ~key:th.V.clock th;
-                   paused := true;
-                   continue_run := false
-                 end
-                 else run_slice t ~stop main th
-             | None ->
-                 if not (advance_time t ~until) then begin
-                   paused := true;
-                   continue_run := false
-                 end
-         done
+           then begin
+             if !carrying then begin
+               Sched.push t.sched ~key:!carried.V.clock !carried;
+               carrying := false
+             end;
+             continue_run := false
+           end
+           else if !carrying || not (Sched.is_empty t.sched) then begin
+             let th =
+               if !carrying then begin
+                 carrying := false;
+                 Sched.push_pop t.sched ~key:!carried.V.clock !carried
+               end
+               else Sched.pop_min t.sched
+             in
+             if th.V.clock > until then begin
+               (* runnable, but its next step starts beyond the
+                  horizon: put it back and pause *)
+               Sched.push t.sched ~key:th.V.clock th;
+               paused := true;
+               continue_run := false
+             end
+             else if run_slice t ~stop main th then begin
+               carried := th;
+               carrying := true
+             end
+           end
+           else if not (advance_time t ~until) then begin
+             paused := true;
+             continue_run := false
+           end
+         done)
      | Sched_ref ->
          let continue_run = ref true in
          while
@@ -2065,9 +2086,9 @@ let advance ?(stop = fun () -> false) t ~until =
                let n =
                  match t.cfg.interp with
                  | Interp_compiled ->
-                     max 1 (step_thread_d t ~compiled:true ~stop main th)
+                     Int.max 1 (step_thread_d t ~compiled:true ~stop main th)
                  | Interp_threaded ->
-                     max 1 (step_thread_d t ~compiled:false ~stop main th)
+                     Int.max 1 (step_thread_d t ~compiled:false ~stop main th)
                  | Interp_ref ->
                      step_thread t th;
                      1

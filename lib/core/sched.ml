@@ -1,17 +1,26 @@
 (* Indexed binary min-heap over guest threads, keyed (key, tid).
 
-   Three parallel arrays hold the heap (keys, tids, elements); [pos] maps a
-   tid to its heap index (-1 when absent) so membership tests, re-keying and
-   removal never search. The hot operations the runner leans on per
-   instruction — [min_key]/[min_tid] — are single array reads. *)
+   The heap itself is two parallel int arrays (keys, tids); [pos] maps a
+   tid to its heap index (-1 when absent) and [thr] maps a tid to its
+   thread, so membership tests, re-keying and removal never search. [thr]
+   is written only when a thread enters the heap and cleared when it
+   leaves, so the heap never retains a removed thread, and sifting moves
+   ints only: no write barrier on the per-slice path. The sifts use the
+   hole technique — the moving key/tid stay in locals and each level is
+   written once. The hot test the runner makes after every step —
+   [min_precedes] — is two array reads.
+
+   Invariants behind the [unsafe_get]s: [0 <= i < n <= length keys =
+   length tids], every [tids.(i)] indexes [pos] and [thr], and
+   [pos.(tid) = i] iff [tids.(i) = tid]. *)
 
 type t = {
   dummy : Rvm.Vmthread.t;
   mutable keys : int array;
   mutable tids : int array;
-  mutable elts : Rvm.Vmthread.t array;
   mutable n : int;
   mutable pos : int array;  (* tid -> heap index, -1 absent *)
+  mutable thr : Rvm.Vmthread.t array;  (* tid -> thread, [dummy] absent *)
 }
 
 let create ~dummy =
@@ -19,129 +28,168 @@ let create ~dummy =
     dummy;
     keys = Array.make 16 max_int;
     tids = Array.make 16 max_int;
-    elts = Array.make 16 dummy;
     n = 0;
     pos = Array.make 64 (-1);
+    thr = Array.make 64 dummy;
   }
 
 let size t = t.n
 let is_empty t = t.n = 0
 
-let ensure_pos t tid =
+let grow_tid t tid =
   let n = Array.length t.pos in
-  if tid >= n then begin
-    let m = max (2 * n) (tid + 1) in
-    let p = Array.make m (-1) in
-    Array.blit t.pos 0 p 0 n;
-    t.pos <- p
-  end
+  let m = Int.max (2 * n) (tid + 1) in
+  let p = Array.make m (-1) in
+  Array.blit t.pos 0 p 0 n;
+  t.pos <- p;
+  let a = Array.make m t.dummy in
+  Array.blit t.thr 0 a 0 n;
+  t.thr <- a
+
+let[@inline] ensure_tid t tid = if tid >= Array.length t.pos then grow_tid t tid
 
 let ensure_cap t n =
   if n > Array.length t.keys then begin
-    let m = max (2 * Array.length t.keys) n in
-    let grow a d =
-      let b = Array.make m d in
+    let m = Int.max (2 * Array.length t.keys) n in
+    let grow a =
+      let b = Array.make m max_int in
       Array.blit a 0 b 0 t.n;
       b
     in
-    t.keys <- grow t.keys max_int;
-    t.tids <- grow t.tids max_int;
-    t.elts <- grow t.elts t.dummy
+    t.keys <- grow t.keys;
+    t.tids <- grow t.tids
   end
 
-let mem t tid = tid < Array.length t.pos && t.pos.(tid) >= 0
+let[@inline] mem t tid =
+  tid < Array.length t.pos && Array.unsafe_get t.pos tid >= 0
 
 (* Key order with ties broken by DESCENDING tid, matching the retained
    reference scan (which in turn matches the original prepend-ordered active
    list: newest thread first).  tids are unique so the order is total. *)
-let less t i j =
-  t.keys.(i) < t.keys.(j)
-  || (t.keys.(i) = t.keys.(j) && t.tids.(i) > t.tids.(j))
+let[@inline] before (k1 : int) (d1 : int) k2 d2 =
+  k1 < k2 || (k1 = k2 && d1 > d2)
 
-let swap t i j =
-  let k = t.keys.(i) and d = t.tids.(i) and e = t.elts.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.tids.(i) <- t.tids.(j);
-  t.elts.(i) <- t.elts.(j);
-  t.keys.(j) <- k;
-  t.tids.(j) <- d;
-  t.elts.(j) <- e;
-  t.pos.(t.tids.(i)) <- i;
-  t.pos.(t.tids.(j)) <- j
+let[@inline] place t i k d =
+  Array.unsafe_set t.keys i k;
+  Array.unsafe_set t.tids i d;
+  Array.unsafe_set t.pos d i
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Settle [(k, d)] into the hole at [i], moving parents down past it. *)
+let sift_up t i k d =
+  let i = ref i in
+  let continue_ = ref true in
+  while !continue_ && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pk = Array.unsafe_get t.keys p and pd = Array.unsafe_get t.tids p in
+    if before k d pk pd then begin
+      place t !i pk pd;
+      i := p
     end
-  end
+    else continue_ := false
+  done;
+  place t !i k d
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.n then begin
-    let m = if l + 1 < t.n && less t (l + 1) l then l + 1 else l in
-    if less t m i then begin
-      swap t i m;
-      sift_down t m
+(* Settle [(k, d)] into the hole at [i], moving smaller children up. *)
+let sift_down t i k d =
+  let n = t.n in
+  let i = ref i in
+  let continue_ = ref true in
+  while !continue_ do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue_ := false
+    else begin
+      let lk = Array.unsafe_get t.keys l and ld = Array.unsafe_get t.tids l in
+      let r = l + 1 in
+      let m, mk, md =
+        if r < n then begin
+          let rk = Array.unsafe_get t.keys r
+          and rd = Array.unsafe_get t.tids r in
+          if before rk rd lk ld then (r, rk, rd) else (l, lk, ld)
+        end
+        else (l, lk, ld)
+      in
+      if before mk md k d then begin
+        place t !i mk md;
+        i := m
+      end
+      else continue_ := false
     end
-  end
+  done;
+  place t !i k d
 
 let push t ~key (th : Rvm.Vmthread.t) =
-  ensure_pos t th.tid;
-  let i = t.pos.(th.tid) in
+  let tid = th.tid in
+  ensure_tid t tid;
+  let i = Array.unsafe_get t.pos tid in
   if i >= 0 then begin
-    let old = t.keys.(i) in
-    if key <> old then begin
-      t.keys.(i) <- key;
-      if key < old then sift_up t i else sift_down t i
-    end
+    let old = Array.unsafe_get t.keys i in
+    if key < old then sift_up t i key tid
+    else if key > old then sift_down t i key tid
   end
   else begin
     ensure_cap t (t.n + 1);
+    Array.unsafe_set t.thr tid th;
     let i = t.n in
-    t.keys.(i) <- key;
-    t.tids.(i) <- th.tid;
-    t.elts.(i) <- th;
-    t.pos.(th.tid) <- i;
-    t.n <- t.n + 1;
-    sift_up t i
+    t.n <- i + 1;
+    sift_up t i key tid
   end
 
+(* Take the element at [i] out; the last element fills the hole. *)
 let remove_at t i =
-  let tid = t.tids.(i) in
-  t.pos.(tid) <- -1;
-  t.n <- t.n - 1;
-  if i < t.n then begin
-    let last = t.n in
-    t.keys.(i) <- t.keys.(last);
-    t.tids.(i) <- t.tids.(last);
-    t.elts.(i) <- t.elts.(last);
-    t.pos.(t.tids.(i)) <- i;
-    t.elts.(last) <- t.dummy;
-    sift_down t i;
-    sift_up t i
+  let tid = Array.unsafe_get t.tids i in
+  Array.unsafe_set t.pos tid (-1);
+  Array.unsafe_set t.thr tid t.dummy;
+  let last = t.n - 1 in
+  t.n <- last;
+  if i < last then begin
+    let k = Array.unsafe_get t.keys last and d = Array.unsafe_get t.tids last in
+    let p = (i - 1) / 2 in
+    if
+      i > 0
+      && before k d (Array.unsafe_get t.keys p) (Array.unsafe_get t.tids p)
+    then sift_up t i k d
+    else sift_down t i k d
   end
-  else t.elts.(i) <- t.dummy
 
-let remove t tid =
-  if mem t tid then remove_at t t.pos.(tid)
+let remove t tid = if mem t tid then remove_at t (Array.unsafe_get t.pos tid)
+let min_key t = if t.n = 0 then max_int else Array.unsafe_get t.keys 0
 
-let min_key t = if t.n = 0 then max_int else t.keys.(0)
-let min_tid t = if t.n = 0 then max_int else t.tids.(0)
+let min_precedes t ~key ~tid =
+  t.n > 0
+  && before (Array.unsafe_get t.keys 0) (Array.unsafe_get t.tids 0) key tid
 
 let pop_min t =
-  if t.n = 0 then None
+  if t.n = 0 then invalid_arg "Sched.pop_min: empty heap";
+  let th = Array.unsafe_get t.thr (Array.unsafe_get t.tids 0) in
+  remove_at t 0;
+  th
+
+let push_pop t ~key (th : Rvm.Vmthread.t) =
+  let tid = th.tid in
+  if mem t tid then begin
+    push t ~key th;
+    pop_min t
+  end
+  else if
+    t.n = 0
+    || before key tid (Array.unsafe_get t.keys 0) (Array.unsafe_get t.tids 0)
+  then th
   else begin
-    let th = t.elts.(0) in
-    remove_at t 0;
-    Some th
+    (* heap-replace: [th] takes the root's slot and sifts down once *)
+    ensure_tid t tid;
+    let root = Array.unsafe_get t.tids 0 in
+    let top = Array.unsafe_get t.thr root in
+    Array.unsafe_set t.pos root (-1);
+    Array.unsafe_set t.thr root t.dummy;
+    Array.unsafe_set t.thr tid th;
+    sift_down t 0 key tid;
+    top
   end
 
 let clear t =
   for i = 0 to t.n - 1 do
-    t.pos.(t.tids.(i)) <- -1;
-    t.elts.(i) <- t.dummy
+    let tid = t.tids.(i) in
+    t.pos.(tid) <- -1;
+    t.thr.(tid) <- t.dummy
   done;
   t.n <- 0

@@ -73,7 +73,7 @@ let entry t (code : Rvm.Value.code) pc =
       (* first touch sizes the row to the code's instruction count, the
          right size for every in-VM pc; grow anyway if a caller probes
          beyond it *)
-      let n = max (pc + 1) (max (2 * Array.length row) (Array.length code.insns)) in
+      let n = Int.max (pc + 1) (Int.max (2 * Array.length row) (Array.length code.insns)) in
       let bigger = Array.make n no_entry in
       Array.blit row 0 bigger 0 (Array.length row);
       t.entries.(uid) <- bigger;
@@ -111,7 +111,7 @@ let adjust_transaction_length t ~code ~pc =
           e.abort_counter <- e.abort_counter + 1
         else begin
           e.length <-
-            max 1 (int_of_float (float_of_int e.length *. t.params.attenuation_rate));
+            Int.max 1 (int_of_float (float_of_int e.length *. t.params.attenuation_rate));
           e.txn_counter <- 0;
           e.abort_counter <- 0
         end
@@ -129,6 +129,6 @@ let stats t =
            if e.length = 1 then incr at_one
          end))
     t.entries;
-  let total = max 1 !total in
+  let total = Int.max 1 !total in
   ( float_of_int !at_one /. float_of_int total,
     float_of_int !sum /. float_of_int total )

@@ -129,7 +129,7 @@ let[@inline] update_fast t =
   t.fast <- t.mode <> Coherent && t.active = 0 && t.sw_mask = 0
 
 let grow_line_tables t cap_cells =
-  let n = Store.line_of t.store (max 1 cap_cells - 1) + 1 in
+  let n = Store.line_of t.store (Int.max 1 cap_cells - 1) + 1 in
   if n > t.n_lines then begin
     let grow a fill =
       let b = Array.make n fill in
@@ -145,7 +145,7 @@ let grow_line_tables t cap_cells =
   end
 
 let create ?(mode = Htm_mode) ?(seed = 42) machine store =
-  let n = max 1 (Machine.n_ctx machine) in
+  let n = Int.max 1 (Machine.n_ctx machine) in
   let t =
     {
       machine;
@@ -700,7 +700,7 @@ let touch_write_range t ~ctx base len =
     and last = Store.line_of t.store (base + len - 1) in
     let line_cells = t.machine.line_cells in
     for id = first to last do
-      let addr = max base (id * line_cells) in
+      let addr = Int.max base (id * line_cells) in
       (* a software transaction must rewrite its own redo-log value, not the
          (older) store value, or the commit would undo its earlier write *)
       let v =

@@ -66,8 +66,8 @@ let merge dst src =
   dst.aborts_eager <- dst.aborts_eager + src.aborts_eager;
   dst.rs_total <- dst.rs_total + src.rs_total;
   dst.ws_total <- dst.ws_total + src.ws_total;
-  dst.rs_max <- max dst.rs_max src.rs_max;
-  dst.ws_max <- max dst.ws_max src.ws_max;
+  dst.rs_max <- Int.max dst.rs_max src.rs_max;
+  dst.ws_max <- Int.max dst.ws_max src.ws_max;
   dst.txn_accesses <- dst.txn_accesses + src.txn_accesses;
   dst.non_txn_accesses <- dst.non_txn_accesses + src.non_txn_accesses;
   dst.coherence_transfers <- dst.coherence_transfers + src.coherence_transfers

@@ -30,7 +30,7 @@ let create ?recycled ~dummy ~line_cells initial =
     let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
     go 0 line_cells
   in
-  let initial = max line_cells initial in
+  let initial = Int.max line_cells initial in
   (* A recycled backing ([retire]'s result) skips the Array.make — and with
      it the mmap / kernel-zeroing / page-fault churn of a fresh multi-MB
      array — at the cost of re-filling the prefix a previous owner dirtied.
@@ -39,7 +39,7 @@ let create ?recycled ~dummy ~line_cells initial =
   let cells =
     match recycled with
     | Some (arr, dirty) when Array.length arr >= initial ->
-        Array.fill arr 0 (min dirty (Array.length arr)) dummy;
+        Array.fill arr 0 (Int.min dirty (Array.length arr)) dummy;
         arr
     | _ -> Array.make initial dummy
   in

@@ -84,7 +84,7 @@ let header_for_alloc h class_id =
   else Layout.header_of_class class_id
 
 let link_free_slots h arr n =
-  let seg_base = max 4 h.opts.free_list_refill in
+  let seg_base = Int.max 4 h.opts.free_list_refill in
   let old_head = int_of (Store.get h.store h.g_free_head) in
   if n > 0 then begin
     for i = 0 to n - 1 do
@@ -99,9 +99,9 @@ let link_free_slots h arr n =
     let i = ref 0 and k = ref 0 in
     while !i < n do
       let len =
-        min (n - !i) ((seg_base / 2) + ((!k * 5 * seg_base / 8) mod seg_base))
+        Int.min (n - !i) ((seg_base / 2) + ((!k * 5 * seg_base / 8) mod seg_base))
       in
-      let len = max 1 len in
+      let len = Int.max 1 len in
       let slot = arr.(!i) in
       let next_seg = if !i + len < n then arr.(!i + len) else old_head in
       Store.set h.store (slot + 2) (Value.vint next_seg);
@@ -133,7 +133,7 @@ let add_arena h n_slots =
    always under the GIL. *)
 let rebuild_lazy_order h =
   let n = h.total_slots in
-  let arr = Array.make (max 1 n) 0 in
+  let arr = Array.make (Int.max 1 n) 0 in
   let i = ref 0 in
   List.iter
     (fun (base, n_slots) ->
@@ -200,9 +200,9 @@ let malloc_global h ~ctx n =
   end
   else begin
     (* model mmap of a fresh region *)
-    let base = Store.reserve_aligned h.store (max malloc_arena_chunk n) in
+    let base = Store.reserve_aligned h.store (Int.max malloc_arena_chunk n) in
     g_write h ~ctx h.g_malloc_ptr (Value.vint (base + n));
-    g_write h ~ctx h.g_malloc_end (Value.vint (base + max malloc_arena_chunk n));
+    g_write h ~ctx h.g_malloc_end (Value.vint (base + Int.max malloc_arena_chunk n));
     base
   end
 
@@ -341,7 +341,7 @@ let run_gc h (th : Vmthread.t) =
   let free = gc_sweep h in
   h.live_after_gc <- marked;
   (* grow the heap when mostly full, like CRuby's 1.8x growth *)
-  if free < h.total_slots / 5 then add_arena h (max h.opts.heap_slots (h.total_slots * 4 / 5));
+  if free < h.total_slots / 5 then add_arena h (Int.max h.opts.heap_slots (h.total_slots * 4 / 5));
   let costs = (Htm.machine h.htm).costs in
   let cost = h.total_slots * costs.cyc_gc_per_slot in
   h.gc_cycles_total <- h.gc_cycles_total + cost;
@@ -417,7 +417,7 @@ let lazy_refill h (th : Vmthread.t) =
   if ord >= total then false
   else begin
     h.lazy_claims <- h.lazy_claims + 1;
-    let stop = min total (ord + lazy_chunk) in
+    let stop = Int.min total (ord + lazy_chunk) in
     g_write h ~ctx h.lazy_cursor (Value.vint stop);
     let head = ref 0 and count = ref 0 in
     for i = stop - 1 downto ord do
@@ -452,7 +452,7 @@ let run_mark_phase h (th : Vmthread.t) =
   let marked = gc_mark h h.gc_roots in
   h.live_after_gc <- marked;
   if marked > h.total_slots * 4 / 5 then
-    add_arena h (max h.opts.heap_slots (h.total_slots * 4 / 5));
+    add_arena h (Int.max h.opts.heap_slots (h.total_slots * 4 / 5));
   rebuild_lazy_order h;
   let costs = (Htm.machine h.htm).costs in
   let cost = marked * costs.cyc_gc_per_slot in

@@ -73,7 +73,7 @@ let push_frame vm (th : Vmthread.t) ~(code : code) ~self ~block ~defining_fp
   wr vm th (base + Vmthread.f_defining_fp) (vint defining_fp);
   wr vm th (base + Vmthread.f_flags) (vint flags);
   let locals = base + Vmthread.frame_hdr in
-  let n_copy = min argc code.arity in
+  let n_copy = Int.min argc code.arity in
   for i = 0 to n_copy - 1 do
     wr vm th (locals + i) (rd vm th (arg_base + i))
   done;
@@ -545,7 +545,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       th.pc <- th.pc + 1;
       continue_ ()
   | Newhash n ->
-      let slot = Objects.new_hash vm th ~cap:(max 8 (2 * n)) in
+      let slot = Objects.new_hash vm th ~cap:(Int.max 8 (2 * n)) in
       for i = n - 1 downto 0 do
         let v = peek vm th (2 * (n - 1 - i))
         and k = peek vm th ((2 * (n - 1 - i)) + 1) in
@@ -767,7 +767,7 @@ and new_thread_insn vm th (site : send_site) =
   wr vm th (base + Vmthread.f_defining_fp) (vint th.fp);
   wr vm th (base + Vmthread.f_flags) (vint Vmthread.flag_block);
   let locals = base + Vmthread.frame_hdr in
-  let n_copy = min argc bcode.arity in
+  let n_copy = Int.min argc bcode.arity in
   for i = 0 to n_copy - 1 do
     wr vm th (locals + i) (peek vm th (argc - 1 - i))
   done;

@@ -17,7 +17,7 @@ let int_field vm th addr =
 
 let new_array vm th ~len ~fill =
   let slot = Heap.alloc_slot vm.Vm.heap th ~class_id:vm.Vm.c_array.id in
-  let cap = max 4 len in
+  let cap = Int.max 4 len in
   let data = Heap.malloc vm.Vm.heap th cap in
   wr vm th (slot + Layout.a_len) (vint len);
   wr vm th (slot + Layout.a_cap) (vint cap);
@@ -42,7 +42,7 @@ let array_grow vm th slot want =
   if want > cap then begin
     let len = array_len vm th slot in
     let data = array_data vm th slot in
-    let ncap = max want (2 * cap) in
+    let ncap = Int.max want (2 * cap) in
     let ndata = Heap.malloc vm.Vm.heap th ncap in
     for i = 0 to len - 1 do
       wr vm th (ndata + i) (rd vm th (data + i))
@@ -121,9 +121,9 @@ let string_set_content vm th slot s =
   let cells = Layout.string_region_cells len in
   let cap = int_field vm th (slot + Layout.s_cap) in
   if cells > cap then begin
-    let data = Heap.malloc vm.Vm.heap th (max cells (2 * cap)) in
+    let data = Heap.malloc vm.Vm.heap th (Int.max cells (2 * cap)) in
     wr vm th (slot + Layout.s_data) (vint data);
-    wr vm th (slot + Layout.s_cap) (vint (max cells (2 * cap)))
+    wr vm th (slot + Layout.s_cap) (vint (Int.max cells (2 * cap)))
   end;
   wr vm th (slot + Layout.s_len) (vint len);
   wr vm th (slot + Layout.s_str) (VStrData s);
@@ -160,7 +160,7 @@ let keys_equal vm th a b =
 
 let new_hash vm th ~cap =
   let slot = Heap.alloc_slot vm.Vm.heap th ~class_id:vm.Vm.c_hash.id in
-  let cap = max 8 cap in
+  let cap = Int.max 8 cap in
   let data = Heap.malloc vm.Vm.heap th (2 * cap) in
   wr vm th (slot + Layout.h_count) (vint 0);
   wr vm th (slot + Layout.h_cap) (vint cap);

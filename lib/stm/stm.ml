@@ -382,7 +382,7 @@ let create ?(clock = Tm_clock.create Tm_clock.Gv1) ~(mk_clock : int -> 'a)
     htm =
   let store = Htm.store htm in
   let machine = Htm.machine htm in
-  let n = max 1 (Machine.n_ctx machine) in
+  let n = Int.max 1 (Machine.n_ctx machine) in
   (* one aligned reservation each: the clock cell and the two stat
      mirrors must never share a store line with each other (or anything
      else), so a stat read can never look like clock traffic *)
@@ -508,14 +508,14 @@ module Budget = struct
 
   let ensure t uid pc =
     if uid >= Array.length t.entries then begin
-      let m = max (2 * Array.length t.entries) (uid + 1) in
+      let m = Int.max (2 * Array.length t.entries) (uid + 1) in
       let e = Array.make m [||] in
       Array.blit t.entries 0 e 0 (Array.length t.entries);
       t.entries <- e
     end;
     let row = t.entries.(uid) in
     if pc >= Array.length row then begin
-      let m = max (2 * Array.length row) (pc + 1) in
+      let m = Int.max (2 * Array.length row) (pc + 1) in
       let r = Array.make m no_entry in
       Array.blit row 0 r 0 (Array.length row);
       t.entries.(uid) <- r
@@ -529,7 +529,7 @@ module Budget = struct
   let punish t ~uid ~pc =
     ensure t uid pc;
     let v = allowed t ~uid ~pc in
-    t.entries.(uid).(pc) <- max t.min_budget (v / 2)
+    t.entries.(uid).(pc) <- Int.max t.min_budget (v / 2)
 
   let reward t ~uid ~pc =
     ensure t uid pc;

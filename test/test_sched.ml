@@ -13,24 +13,29 @@ let mk_thread tid =
 
 let drain t =
   let rec go acc =
-    match Sched.pop_min t with
-    | Some th -> go (th.V.tid :: acc)
-    | None -> acc
+    if Sched.is_empty t then List.rev acc
+    else go ((Sched.pop_min t).V.tid :: acc)
   in
-  List.rev (go [])
+  go []
 
 let test_pop_order () =
   let t = Sched.create ~dummy:(mk_thread 0) in
   Alcotest.(check bool) "fresh heap empty" true (Sched.is_empty t);
   Alcotest.(check int) "empty min_key" max_int (Sched.min_key t);
-  Alcotest.(check int) "empty min_tid" max_int (Sched.min_tid t);
+  Alcotest.(check bool) "empty: nothing precedes" false
+    (Sched.min_precedes t ~key:min_int ~tid:max_int);
   (* out-of-order keys, including a (clock, tid) tie at 5 *)
   List.iter
     (fun (k, tid) -> Sched.push t ~key:k (mk_thread tid))
     [ (5, 3); (1, 2); (5, 1); (0, 4); (3, 0) ];
   Alcotest.(check int) "size" 5 (Sched.size t);
   Alcotest.(check int) "min_key" 0 (Sched.min_key t);
-  Alcotest.(check int) "min_tid" 4 (Sched.min_tid t);
+  Alcotest.(check bool) "root (0, 4) precedes (0, 3)" true
+    (Sched.min_precedes t ~key:0 ~tid:3);
+  Alcotest.(check bool) "root (0, 4) not before itself" false
+    (Sched.min_precedes t ~key:0 ~tid:4);
+  Alcotest.(check bool) "root (0, 4) not before (-1, 9)" false
+    (Sched.min_precedes t ~key:(-1) ~tid:9);
   (* equal keys break toward the HIGHER tid, like the reference scan *)
   Alcotest.(check (list int)) "(key, tid desc) order" [ 4; 2; 0; 3; 1 ] (drain t);
   Alcotest.(check bool) "drained empty" true (Sched.is_empty t)
@@ -61,31 +66,132 @@ let test_mem_remove () =
   Sched.push t ~key:7 (mk_thread 1);
   Alcotest.(check (list int)) "reusable after drain" [ 1 ] (drain t)
 
-(* Random push/re-key/remove traffic against a sorted-list model. *)
+let test_pop_min_empty () =
+  let t = Sched.create ~dummy:(mk_thread 0) in
+  Alcotest.check_raises "pop_min on an empty heap"
+    (Invalid_argument "Sched.pop_min: empty heap") (fun () ->
+      ignore (Sched.pop_min t))
+
+let test_push_pop () =
+  let t = Sched.create ~dummy:(mk_thread 0) in
+  let a = mk_thread 1 and b = mk_thread 2 and c = mk_thread 3 in
+  (* empty heap: the pushed thread comes straight back, heap untouched *)
+  Alcotest.(check int) "empty: returns itself" 2
+    (Sched.push_pop t ~key:7 b).V.tid;
+  Alcotest.(check bool) "empty: stays empty" true (Sched.is_empty t);
+  Sched.push t ~key:10 a;
+  Sched.push t ~key:20 c;
+  (* strict minimum: itself, nothing moves *)
+  Alcotest.(check int) "strict min: itself" 2 (Sched.push_pop t ~key:5 b).V.tid;
+  Alcotest.(check bool) "strict min: not inserted" false (Sched.mem t 2);
+  (* key tie with the root, larger tid: still itself *)
+  Alcotest.(check int) "tie, larger tid: itself" 2
+    (Sched.push_pop t ~key:10 b).V.tid;
+  Alcotest.(check int) "tie: size unchanged" 2 (Sched.size t);
+  (* key tie with the root, smaller tid: the root wins and [th] goes in *)
+  let d = mk_thread 0 in
+  Alcotest.(check int) "tie, smaller tid: root" 1
+    (Sched.push_pop t ~key:10 d).V.tid;
+  Alcotest.(check bool) "root left" false (Sched.mem t 1);
+  Alcotest.(check bool) "pushed thread in" true (Sched.mem t 0);
+  (* larger key: the root comes out, [th] sifts into place *)
+  Alcotest.(check int) "larger key: root" 0 (Sched.push_pop t ~key:30 b).V.tid;
+  Alcotest.(check (list int)) "replaced order" [ 3; 2 ] (drain t);
+  (* a thread already present is re-keyed first, then the minimum pops *)
+  Sched.push t ~key:10 a;
+  Sched.push t ~key:20 c;
+  Alcotest.(check int) "re-key down: itself" 3
+    (Sched.push_pop t ~key:5 c).V.tid;
+  Alcotest.(check bool) "re-keyed thread popped" false (Sched.mem t 3);
+  Sched.push t ~key:20 c;
+  Alcotest.(check int) "re-key up: new root" 3
+    (Sched.push_pop t ~key:40 a).V.tid;
+  Alcotest.(check int) "re-key up: size" 1 (Sched.size t);
+  Alcotest.(check int) "re-key up: key kept" 40 (Sched.min_key t);
+  Alcotest.(check (list int)) "re-keyed order" [ 1 ] (drain t)
+
+(* A removed or popped thread must not stay reachable from the heap. *)
+let test_no_retention () =
+  let t = Sched.create ~dummy:(mk_thread 0) in
+  let keep = mk_thread 1 in
+  Sched.push t ~key:0 keep;
+  let[@inline never] insert_weak tid how =
+    let w = Weak.create 1 in
+    let th = mk_thread tid in
+    Weak.set w 0 (Some th);
+    Sched.push t ~key:(10 + tid) th;
+    (match how with
+    | `Remove -> Sched.remove t tid
+    | `Pop ->
+        (* [keep] (key 0) is the root: park it behind [th], pop [th] *)
+        Sched.push t ~key:100 keep;
+        ignore (Sched.pop_min t);
+        Sched.push t ~key:0 keep
+    | `Push_pop ->
+        (* [th] is the root once [keep] is out; a push_pop of [keep] with
+           a larger key takes [th]'s slot and returns it *)
+        Sched.remove t 1;
+        ignore (Sched.push_pop t ~key:100 keep);
+        Sched.push t ~key:0 keep);
+    w
+  in
+  let ws =
+    [ insert_weak 2 `Remove; insert_weak 3 `Pop; insert_weak 4 `Push_pop ]
+  in
+  Gc.full_major ();
+  List.iteri
+    (fun i w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "thread %d collected" (i + 2))
+        true
+        (Option.is_none (Weak.get w 0)))
+    ws;
+  Alcotest.(check (list int)) "kept thread still there" [ 1 ] (drain t)
+
+(* Random push/re-key/remove/pop_min/push_pop traffic against a
+   sorted-list model. *)
 let test_randomized_vs_model =
-  let gen = QCheck.(list (pair (int_bound 50) (int_bound 19))) in
-  Tutil.qtest "heap agrees with sorted model" ~count:200 gen (fun ops ->
+  let gen =
+    QCheck.(list (triple (int_bound 4) (int_bound 50) (int_bound 19)))
+  in
+  Tutil.qtest "heap agrees with sorted model" ~count:300 gen (fun ops ->
       let t = Sched.create ~dummy:(mk_thread 0) in
       let threads = Array.init 20 mk_thread in
       let model = Hashtbl.create 16 in
-      List.iteri
-        (fun i (key, tid) ->
-          if i mod 5 = 4 then begin
-            Sched.remove t tid;
-            Hashtbl.remove model tid
-          end
-          else begin
-            Sched.push t ~key threads.(tid);
-            Hashtbl.replace model tid key
-          end)
-        ops;
-      let expect =
+      let sorted () =
         Hashtbl.fold (fun tid key acc -> (key, tid) :: acc) model []
         |> List.sort (fun (k1, t1) (k2, t2) ->
                if k1 <> k2 then compare k1 k2 else compare t2 t1)
         |> List.map snd
       in
-      drain t = expect)
+      let model_pop () =
+        match sorted () with
+        | tid :: _ ->
+            Hashtbl.remove model tid;
+            tid
+        | [] -> assert false
+      in
+      let ok = ref true in
+      List.iter
+        (fun (op, key, tid) ->
+          match op with
+          | 0 ->
+              Sched.remove t tid;
+              Hashtbl.remove model tid
+          | 1 ->
+              if Hashtbl.length model > 0 then
+                let got = (Sched.pop_min t).V.tid in
+                if got <> model_pop () then ok := false
+          | 2 ->
+              let got = (Sched.push_pop t ~key threads.(tid)).V.tid in
+              Hashtbl.replace model tid key;
+              if got <> model_pop () then ok := false
+          | _ ->
+              Sched.push t ~key threads.(tid);
+              Hashtbl.replace model tid key)
+        ops;
+      let expect = sorted () in
+      !ok && Sched.size t = List.length expect && drain t = expect)
 
 (* ---- differential: heap + run-ahead vs the reference linear scan ---- *)
 
@@ -139,6 +245,77 @@ let test_diff_compute () =
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic ])
     workloads
 
+(* Twelve threads make the heap four levels deep, so sifts run through
+   interior levels that the 1-4 thread grid never reaches. *)
+let npb12 = [ "cg"; "bt" ]
+
+let find_workload name = Option.get (Workloads.Workload.find name)
+
+let test_diff_compute_12 () =
+  List.iter
+    (fun name ->
+      let w = find_workload name in
+      let scheme = Core.Scheme.Htm_dynamic in
+      let run sched = run_compute ~sched ~scheme w ~threads:12 in
+      let heap = run Core.Runner.Sched_heap
+      and ref_ = run Core.Runner.Sched_ref in
+      assert_same_run (name ^ "/htm-dynamic/12T") heap ref_)
+    npb12
+
+(* Horizon-chunked [advance] must reproduce [run] at 12 threads, and so
+   must a run whose [stop] trips now and then and is resumed each time:
+   every exit puts the slice's carried thread back in the heap. *)
+let test_chunked_advance_12 () =
+  let horizon = 2_000_000 in
+  List.iter
+    (fun name ->
+      let w = find_workload name in
+      let source =
+        w.Workloads.Workload.source ~threads:12 ~size:Workloads.Size.Test
+      in
+      let cfg =
+        Core.Runner.config ~scheme:Core.Scheme.Htm_dynamic
+          Htm_sim.Machine.zec12
+      in
+      let fresh () =
+        let t = Core.Runner.create cfg ~source in
+        w.Workloads.Workload.setup None t.Core.Runner.vm;
+        t
+      in
+      let full = Core.Runner.run (fresh ()) in
+      let t = fresh () in
+      let pauses = ref 0 in
+      let rec go h =
+        match Core.Runner.advance t ~until:h with
+        | `Done r -> r
+        | `Paused ->
+            incr pauses;
+            go (h + horizon)
+      in
+      let chunked = go horizon in
+      Alcotest.(check bool)
+        (name ^ ": paused at least once")
+        true (!pauses > 0);
+      assert_same_run (name ^ "/12T chunked") full chunked;
+      let t = fresh () in
+      let main = t.Core.Runner.session.Rvm.Session.main in
+      let calls = ref 0 and stops = ref 0 in
+      let stop () =
+        incr calls;
+        !calls mod 5_000 = 0
+      in
+      let rec resume () =
+        match Core.Runner.advance ~stop t ~until:max_int with
+        | `Done r when main.V.status = V.Finished -> r
+        | `Done _ | `Paused ->
+            incr stops;
+            resume ()
+      in
+      let stopped = resume () in
+      Alcotest.(check bool) (name ^ ": stopped at least once") true (!stops > 0);
+      assert_same_run (name ^ "/12T stop+resume") full stopped)
+    npb12
+
 (* The server path exercises netsim delivery, sleepers and acceptors; the
    scheduler is selected through the BENCH_SCHED environment default, which
    also covers the smoke script's plumbing. *)
@@ -166,7 +343,13 @@ let suite =
     Alcotest.test_case "pop order" `Quick test_pop_order;
     Alcotest.test_case "re-key" `Quick test_rekey;
     Alcotest.test_case "mem + remove" `Quick test_mem_remove;
+    Alcotest.test_case "pop_min on empty" `Quick test_pop_min_empty;
+    Alcotest.test_case "push_pop" `Quick test_push_pop;
+    Alcotest.test_case "no retention" `Quick test_no_retention;
     test_randomized_vs_model;
     Alcotest.test_case "heap = ref scan (compute)" `Quick test_diff_compute;
     Alcotest.test_case "heap = ref scan (server)" `Quick test_diff_server;
+    Alcotest.test_case "heap = ref scan (npb, 12T)" `Quick test_diff_compute_12;
+    Alcotest.test_case "chunked advance = run (npb, 12T)" `Quick
+      test_chunked_advance_12;
   ]
