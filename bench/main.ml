@@ -1038,22 +1038,18 @@ let sched_alloc_check () =
   Format.fprintf fmt
     "@.=== steady-state allocation per scheduler heap operation ===@.";
   let threads = 12 and ops = 1_000_000 in
-  let code = (Rvm.Compiler.compile_string "nil").Rvm.Value.main in
-  let th =
-    Array.init threads (fun tid ->
-        Rvm.Vmthread.create ~tid ~stack_base:0 ~stack_limit:64 ~struct_base:0
-          ~obj:0 ~code)
-  in
-  let h = Core.Sched.create ~dummy:th.(0) in
+  let h = Core.Sched.create () in
   let seed = ref 1 in
   let loop () =
-    Array.iter (fun t -> Core.Sched.push h ~key:0 t) th;
-    let out = ref th.(0) in
+    for tid = 0 to threads - 1 do
+      Core.Sched.push h ~key:0 tid
+    done;
+    let out = ref 0 in
     for i = 1 to ops do
       seed := (!seed * 1103515245) + 12345;
       let key = (!seed lsr 16) land 0xffff in
       match i mod 4 with
-      | 0 -> Core.Sched.push h ~key th.((!seed lsr 8) mod threads)
+      | 0 -> Core.Sched.push h ~key ((!seed lsr 8) mod threads)
       | 1 ->
           out := Core.Sched.pop_min h;
           Core.Sched.push h ~key !out
@@ -1062,7 +1058,7 @@ let sched_alloc_check () =
     Core.Sched.clear h
   in
   loop ();
-  (* warm: position and thread tables grown *)
+  (* warm: position table grown *)
   let w0 = Gc.minor_words () in
   loop ();
   let w1 = Gc.minor_words () in

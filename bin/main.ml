@@ -111,6 +111,17 @@ let parse_hot = function
       Format.eprintf "unknown --hot value %S (expected on or off)@." s;
       exit 1
 
+(* The library parsers reject a bad name with [Invalid_argument]; at the
+   CLI boundary that is a usage error: name the accepted values, exit 1. *)
+let parse_named ~what ~accepted parse s =
+  try parse s
+  with Invalid_argument _ ->
+    Format.eprintf "unknown %s %S (expected %s)@." what s accepted;
+    exit 1
+
+let parse_size =
+  parse_named ~what:"size" ~accepted:"test, s or w" Workloads.Size.of_string
+
 let parse_subscription = function
   | None -> None
   | Some s -> (
@@ -173,22 +184,33 @@ let latency_json_arg =
   Arg.(value & opt (some string) None & info [ "latency-json" ] ~docv:"FILE" ~doc)
 
 let parse_arrivals mode rate =
-  match String.lowercase_ascii mode with
-  | "closed" -> Netsim.Closed
-  | "poisson" -> Netsim.Poisson { rate; seed = Harness.Figures.load_seed }
-  | "burst" -> Netsim.Burst { rate; size = 8; seed = Harness.Figures.load_seed }
-  | m
-    when String.length m > 6 && String.sub m 0 6 = "burst:"
-         && int_of_string_opt (String.sub m 6 (String.length m - 6)) <> None ->
-      Netsim.Burst
-        {
-          rate;
-          size = int_of_string (String.sub m 6 (String.length m - 6));
-          seed = Harness.Figures.load_seed;
-        }
-  | m ->
-      Format.eprintf "unknown arrival mode %s (closed, poisson, burst:N)@." m;
+  let seed = Harness.Figures.load_seed in
+  let arrivals =
+    match String.lowercase_ascii mode with
+    | "closed" -> Netsim.Closed
+    | "poisson" -> Netsim.Poisson { rate; seed }
+    | "burst" -> Netsim.Burst { rate; size = 8; seed }
+    | m -> (
+        let burst =
+          if String.length m > 6 && String.sub m 0 6 = "burst:" then
+            int_of_string_opt (String.sub m 6 (String.length m - 6))
+          else None
+        in
+        match burst with
+        | Some size when size >= 1 -> Netsim.Burst { rate; size; seed }
+        | _ ->
+            Format.eprintf
+              "unknown arrival mode %S (expected closed, poisson or burst:N \
+               with N >= 1)@."
+              mode;
+            exit 1)
+  in
+  (match arrivals with
+  | (Netsim.Poisson _ | Netsim.Burst _) when not (rate > 0.0) ->
+      Format.eprintf "--offered-load must be positive (got %g)@." rate;
       exit 1
+  | _ -> ());
+  arrivals
 
 let load_document (l : Harness.Exp.load) =
   Obs.Json.Obj
@@ -374,8 +396,14 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
   end
 
 let parse_common machine scheme yield_points no_removal lazy_sweep refcount =
-  let machine = Htm_sim.Machine.by_name machine in
-  let scheme = Core.Scheme.of_string scheme in
+  let machine =
+    parse_named ~what:"machine" ~accepted:"zec12, xeon or x5670"
+      Htm_sim.Machine.by_name machine
+  in
+  let scheme =
+    parse_named ~what:"scheme" ~accepted:Core.Scheme.accepted_names
+      Core.Scheme.of_string scheme
+  in
   let yield_points =
     match yield_points with
     | "original" -> Core.Yield_points.Original
@@ -503,7 +531,7 @@ let run_cmd =
         let machine, scheme, yield_points, opts =
           parse_common machine scheme yield_points no_removal lazy_sweep refcount
         in
-        let size = Workloads.Size.of_string size in
+        let size = parse_size size in
         let clock = parse_clock clock in
         let subscription = parse_subscription subscription in
         let hot = parse_hot hot in
@@ -624,7 +652,7 @@ let fig_cmd =
     Arg.(value & opt string "s" & info [ "size" ] ~docv:"SIZE" ~doc)
   in
   let run which size =
-    let size = Workloads.Size.of_string size in
+    let size = parse_size size in
     let fmt = Format.std_formatter in
     let doit = function
       | "fig4" -> ignore (Harness.Figures.fig4 ~size fmt)

@@ -378,7 +378,6 @@ let create ?(io : Netsim.t option) cfg ~source =
         in
         scan vm.Rvm.Vm.threads);
   let metrics = vm.Rvm.Vm.metrics in
-  let main = session.Rvm.Session.main in
   let t =
     {
     cfg;
@@ -389,7 +388,7 @@ let create ?(io : Netsim.t option) cfg ~source =
     txlen = Txlen.create ~params txlen_mode;
     session;
     io;
-    sched = Sched.create ~dummy:main;
+    sched = Sched.create ();
     running_tid = -1;
     free_ctx = List.init (Machine.n_ctx cfg.machine) (fun i -> i);
     ctx_waiters = Queue.create ();
@@ -416,7 +415,7 @@ let create ?(io : Netsim.t option) cfg ~source =
     mutex_waiters = Hashtbl.create 16;
     cond_waiters = Hashtbl.create 16;
     join_waiters = Hashtbl.create 16;
-    sleepq = Sched.create ~dummy:main;
+    sleepq = Sched.create ();
     accept_waiters = Queue.create ();
     total_insns = 0;
     fw_b_insns = 0;
@@ -540,7 +539,7 @@ let ensure_tid t tid =
 let sched_sync t (th : V.t) =
   if th.tid <> t.running_tid then
     if th.status = V.Runnable && th.ctx >= 0 then
-      Sched.push t.sched ~key:th.clock th
+      Sched.push t.sched ~key:th.clock th.tid
     else Sched.remove t.sched th.tid
 
 (* A hardware context belongs to a thread only while it can run: parking
@@ -1229,7 +1228,7 @@ let on_block t (th : V.t) reason =
   | V.On_join tid ->
       Hashtbl.replace t.join_waiters tid
         (th :: Option.value (Hashtbl.find_opt t.join_waiters tid) ~default:[])
-  | V.On_sleep at | V.On_io at -> Sched.push t.sleepq ~key:at th
+  | V.On_sleep at | V.On_io at -> Sched.push t.sleepq ~key:at th.tid
   | V.On_accept _ -> Queue.add th t.accept_waiters);
   park t th reason
 
@@ -1368,7 +1367,7 @@ let advance_time t ~until =
     (* wake sleepers due, each at its own deadline *)
     while Sched.min_key t.sleepq <= target do
       let at = Sched.min_key t.sleepq in
-      wake t (Sched.pop_min t.sleepq) ~at
+      wake t (Rvm.Vm.thread_by_id vm (Sched.pop_min t.sleepq)) ~at
     done;
     (* deliver connections *)
     (match t.io with
@@ -2034,23 +2033,25 @@ let advance ?(stop = fun () -> false) t ~until =
              || t.total_insns >= t.cfg.max_insns
            then begin
              if !carrying then begin
-               Sched.push t.sched ~key:!carried.V.clock !carried;
+               Sched.push t.sched ~key:!carried.V.clock !carried.V.tid;
                carrying := false
              end;
              continue_run := false
            end
            else if !carrying || not (Sched.is_empty t.sched) then begin
              let th =
-               if !carrying then begin
-                 carrying := false;
-                 Sched.push_pop t.sched ~key:!carried.V.clock !carried
-               end
-               else Sched.pop_min t.sched
+               Rvm.Vm.thread_by_id vm
+                 (if !carrying then begin
+                    carrying := false;
+                    Sched.push_pop t.sched ~key:!carried.V.clock
+                      !carried.V.tid
+                  end
+                  else Sched.pop_min t.sched)
              in
              if th.V.clock > until then begin
                (* runnable, but its next step starts beyond the
                   horizon: put it back and pause *)
-               Sched.push t.sched ~key:th.V.clock th;
+               Sched.push t.sched ~key:th.V.clock th.V.tid;
                paused := true;
                continue_run := false
              end

@@ -1,36 +1,30 @@
-(* Indexed binary min-heap over guest threads, keyed (key, tid).
+(* Indexed binary min-heap over guest thread ids, keyed (key, tid).
 
    The heap itself is two parallel int arrays (keys, tids); [pos] maps a
-   tid to its heap index (-1 when absent) and [thr] maps a tid to its
-   thread, so membership tests, re-keying and removal never search. [thr]
-   is written only when a thread enters the heap and cleared when it
-   leaves, so the heap never retains a removed thread, and sifting moves
-   ints only: no write barrier on the per-slice path. The sifts use the
-   hole technique — the moving key/tid stay in locals and each level is
+   tid to its heap index (-1 when absent), so membership tests, re-keying
+   and removal never search. Every array holds ints, so no operation
+   stores a pointer: no write barrier on the per-slice path. The sifts use
+   the hole technique — the moving key/tid stay in locals and each level is
    written once. The hot test the runner makes after every step —
    [min_precedes] — is two array reads.
 
    Invariants behind the [unsafe_get]s: [0 <= i < n <= length keys =
-   length tids], every [tids.(i)] indexes [pos] and [thr], and
-   [pos.(tid) = i] iff [tids.(i) = tid]. *)
+   length tids], every [tids.(i)] indexes [pos], and [pos.(tid) = i] iff
+   [tids.(i) = tid]. *)
 
 type t = {
-  dummy : Rvm.Vmthread.t;
   mutable keys : int array;
   mutable tids : int array;
   mutable n : int;
   mutable pos : int array;  (* tid -> heap index, -1 absent *)
-  mutable thr : Rvm.Vmthread.t array;  (* tid -> thread, [dummy] absent *)
 }
 
-let create ~dummy =
+let create () =
   {
-    dummy;
     keys = Array.make 16 max_int;
     tids = Array.make 16 max_int;
     n = 0;
     pos = Array.make 64 (-1);
-    thr = Array.make 64 dummy;
   }
 
 let size t = t.n
@@ -41,10 +35,7 @@ let grow_tid t tid =
   let m = Int.max (2 * n) (tid + 1) in
   let p = Array.make m (-1) in
   Array.blit t.pos 0 p 0 n;
-  t.pos <- p;
-  let a = Array.make m t.dummy in
-  Array.blit t.thr 0 a 0 n;
-  t.thr <- a
+  t.pos <- p
 
 let[@inline] ensure_tid t tid = if tid >= Array.length t.pos then grow_tid t tid
 
@@ -117,8 +108,7 @@ let sift_down t i k d =
   done;
   place t !i k d
 
-let push t ~key (th : Rvm.Vmthread.t) =
-  let tid = th.tid in
+let push t ~key tid =
   ensure_tid t tid;
   let i = Array.unsafe_get t.pos tid in
   if i >= 0 then begin
@@ -128,7 +118,6 @@ let push t ~key (th : Rvm.Vmthread.t) =
   end
   else begin
     ensure_cap t (t.n + 1);
-    Array.unsafe_set t.thr tid th;
     let i = t.n in
     t.n <- i + 1;
     sift_up t i key tid
@@ -138,7 +127,6 @@ let push t ~key (th : Rvm.Vmthread.t) =
 let remove_at t i =
   let tid = Array.unsafe_get t.tids i in
   Array.unsafe_set t.pos tid (-1);
-  Array.unsafe_set t.thr tid t.dummy;
   let last = t.n - 1 in
   t.n <- last;
   if i < last then begin
@@ -160,36 +148,30 @@ let min_precedes t ~key ~tid =
 
 let pop_min t =
   if t.n = 0 then invalid_arg "Sched.pop_min: empty heap";
-  let th = Array.unsafe_get t.thr (Array.unsafe_get t.tids 0) in
+  let tid = Array.unsafe_get t.tids 0 in
   remove_at t 0;
-  th
+  tid
 
-let push_pop t ~key (th : Rvm.Vmthread.t) =
-  let tid = th.tid in
+let push_pop t ~key tid =
   if mem t tid then begin
-    push t ~key th;
+    push t ~key tid;
     pop_min t
   end
   else if
     t.n = 0
     || before key tid (Array.unsafe_get t.keys 0) (Array.unsafe_get t.tids 0)
-  then th
+  then tid
   else begin
-    (* heap-replace: [th] takes the root's slot and sifts down once *)
+    (* heap-replace: [tid] takes the root's slot and sifts down once *)
     ensure_tid t tid;
     let root = Array.unsafe_get t.tids 0 in
-    let top = Array.unsafe_get t.thr root in
     Array.unsafe_set t.pos root (-1);
-    Array.unsafe_set t.thr root t.dummy;
-    Array.unsafe_set t.thr tid th;
     sift_down t 0 key tid;
-    top
+    root
   end
 
 let clear t =
   for i = 0 to t.n - 1 do
-    let tid = t.tids.(i) in
-    t.pos.(tid) <- -1;
-    t.thr.(tid) <- t.dummy
+    t.pos.(t.tids.(i)) <- -1
   done;
   t.n <- 0

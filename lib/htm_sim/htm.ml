@@ -106,11 +106,12 @@ type 'a t = {
   memo_hi : int array;  (** last addr of the memoized line; [-1] = empty *)
   memo_id : int array;  (** memoized line id, or -1 *)
   memo_w : int array;  (** 1 = the memoized line is in the context's write set *)
-  memo_undo : int array;
-      (** address of the newest undo-log entry this transaction pushed, or
-          -1: a memo-hit write to exactly this address skips the duplicate
-          [Txn.push_undo] (replay is newest-first, so the surviving older
-          entry still restores the pre-transaction value) *)
+  memo_logged : int array;
+      (** cells of the memoized line (bit [addr - memo_lo]) that already
+          have an undo-log entry in this transaction: a memo-hit write to
+          one of them skips the duplicate [Txn.push_undo] (replay is
+          newest-first, so the surviving older entry still restores the
+          pre-transaction value) *)
   mutable stamp_epoch : int;
       (** bumped whenever any line's version stamp changes (hardware
           commit stamping, committed writes, GV5 lazy stamps): the STM
@@ -179,7 +180,7 @@ let create ?(mode = Htm_mode) ?(seed = 42) machine store =
       memo_hi = Array.make n (-1);
       memo_id = Array.make n (-1);
       memo_w = Array.make n 0;
-      memo_undo = Array.make n (-1);
+      memo_logged = Array.make n 0;
       stamp_epoch = 0;
     }
   in
@@ -201,7 +202,7 @@ let[@inline] memo_clear t ctx =
   Array.unsafe_set t.memo_hi ctx (-1);
   Array.unsafe_set t.memo_id ctx (-1);
   Array.unsafe_set t.memo_w ctx 0;
-  Array.unsafe_set t.memo_undo ctx (-1)
+  Array.unsafe_set t.memo_logged ctx 0
 
 let hot t = t.hot
 
@@ -538,7 +539,14 @@ let[@inline] memo_install t ~ctx ~id =
   Array.unsafe_set t.memo_hi ctx (lo + lc - 1);
   Array.unsafe_set t.memo_id ctx id;
   Array.unsafe_set t.memo_w ctx
-    (if Array.unsafe_get t.writers id = ctx then 1 else 0)
+    (if Array.unsafe_get t.writers id = ctx then 1 else 0);
+  Array.unsafe_set t.memo_logged ctx 0
+
+(* [addr]'s bit in [memo_logged]; 0 (never coalesced) for a cell past the
+   int's width, so any line size stays correct. *)
+let[@inline] logged_bit t ~ctx addr =
+  let off = addr - Array.unsafe_get t.memo_lo ctx in
+  if off < Sys.int_size - 1 then 1 lsl off else 0
 
 let read_slow t ~ctx addr =
   let txn = t.txns.(ctx) in
@@ -602,13 +610,14 @@ let write_slow t ~ctx addr v =
     then begin
       (* memo hit on a line already in our write set: the baseline body's
          conflict probe, capacity check and predictor draw are statically
-         skipped ([writers.(id) = ctx]). Coalesce the undo entry when the
-         newest logged address is this one — replay is newest-first, so
-         the older surviving entry still restores the pre-transaction
-         value and rollback order is unchanged. *)
-      if addr <> Array.unsafe_get t.memo_undo ctx then begin
+         skipped ([writers.(id) = ctx]). Coalesce the undo entry when
+         this cell is already logged — replay is newest-first, so the
+         older surviving entry still restores the pre-transaction value. *)
+      let logged = Array.unsafe_get t.memo_logged ctx
+      and bit = logged_bit t ~ctx addr in
+      if logged land bit = 0 then begin
         Txn.push_undo txn addr (Store.get_unsafe t.store addr);
-        Array.unsafe_set t.memo_undo ctx addr
+        Array.unsafe_set t.memo_logged ctx (logged lor bit)
       end;
       Store.set_unsafe t.store addr v
     end
@@ -634,7 +643,7 @@ let write_slow t ~ctx addr v =
       Txn.push_undo txn addr (Store.get_unsafe t.store addr);
       if t.hot then begin
         memo_install t ~ctx ~id;
-        Array.unsafe_set t.memo_undo ctx addr
+        Array.unsafe_set t.memo_logged ctx (logged_bit t ~ctx addr)
       end;
       Store.set_unsafe t.store addr v
     end

@@ -259,7 +259,14 @@ let ruby_mod_int a b =
   let r = a mod b in
   if r <> 0 && (r < 0) <> (b < 0) then r + b else r
 
-let rec int_pow base exp acc = if exp = 0 then acc else int_pow base (exp - 1) (acc * base)
+(* Square-and-multiply: O(log exp) host steps for one guest [**]. Integer
+   multiplication wraps modulo 2^63 either way, so the result is the one
+   [exp] repeated multiplications would give. *)
+let rec int_pow base exp acc =
+  if exp = 0 then acc
+  else
+    int_pow (base * base) (exp lsr 1)
+      (if exp land 1 = 1 then acc * base else acc)
 
 (* Arithmetic fast paths; fall back to a dynamic send for objects. *)
 let arith vm th sym finsn =

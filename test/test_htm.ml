@@ -184,6 +184,36 @@ let test_memo_invalidation () =
   Alcotest.(check int) "requester cleared at commit" (-1)
     (Htm.memoized_line htm 1)
 
+(* Memo-hit writes log each cell of the memoized line once: repeated and
+   interleaved writes to the same cells, with the memo moving to another
+   line and back in between, must still roll back to the values from
+   before the transaction. *)
+let test_undo_coalescing () =
+  let store, htm = mk () in
+  Htm.set_hot htm true;
+  let lc = Machine.zec12.line_cells in
+  let a = Store.reserve_aligned store (2 * lc) in
+  let b = a + lc in
+  for i = 0 to (2 * lc) - 1 do
+    Store.set store (a + i) (100 + i)
+  done;
+  begin_ htm 0;
+  List.iteri
+    (fun v addr -> Htm.write htm ~ctx:0 addr v)
+    [ a; a + 1; a; a + 5; a + 1; a; a + lc - 1 ];
+  ignore (Htm.read htm ~ctx:0 b);
+  List.iteri
+    (fun v addr -> Htm.write htm ~ctx:0 addr (50 + v))
+    [ a + 5; a; b; a + 2; a + 5 ];
+  Alcotest.(check int) "newest write visible" 54 (Store.get store (a + 5));
+  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
+  for i = 0 to (2 * lc) - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "cell %d restored" i)
+      (100 + i)
+      (Store.get store (a + i))
+  done
+
 (* Serializability on a shared counter: counters incremented under
    transactions with conflict-driven retries end with the exact total. *)
 let prop_counter_serializable =
@@ -239,5 +269,7 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats;
     Alcotest.test_case "memo invalidation at txn boundaries" `Quick
       test_memo_invalidation;
+    Alcotest.test_case "memo-hit writes log each cell once" `Quick
+      test_undo_coalescing;
     prop_counter_serializable;
   ]

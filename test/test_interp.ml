@@ -416,6 +416,12 @@ let test_arith_edges () =
   check "pow positive, zero, negative exponent" "8\n1\n0.25\n1.0\n"
     "puts 2 ** 3\nputs 2 ** 0\nputs 2 ** -2\nputs 1 ** -5";
   check "pow mixed float" "6.25\n0.5\n" "puts 2.5 ** 2\nputs 4 ** -0.5";
+  (* Integer pow wraps modulo 2^63 like repeated multiplication, and a huge
+     exponent costs O(log exp): odd units mod 2^63 have order dividing
+     2^61, so 7 ** (2 ** 61 + 5) = 7 ** 5. *)
+  check "pow wraps, huge exponents" "-4611686018427387904\n0\n-1\n1\n16807\n"
+    "puts 2 ** 62\nputs 2 ** 63\nputs((0 - 1) ** 1000000001)\n\
+     puts 1 ** (2 ** 62 - 1)\nputs 7 ** (2 ** 61 + 5)";
   check "mixed float int opt paths" "3.5\n-1.5\n5.0\n0.5\n1.5\n"
     "puts 1.5 + 2\nputs 0.5 - 2\nputs 2 * 2.5\nputs 1 / 2.0\nputs 3.5 % 2";
   check "opt fallback to send on objects" "5\n"

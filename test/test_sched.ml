@@ -5,28 +5,21 @@
 module Sched = Core.Sched
 module V = Rvm.Vmthread
 
-let dummy_code = lazy (Rvm.Compiler.compile_string "nil").Rvm.Value.main
-
-let mk_thread tid =
-  V.create ~tid ~stack_base:0 ~stack_limit:64 ~struct_base:0 ~obj:0
-    ~code:(Lazy.force dummy_code)
-
 let drain t =
   let rec go acc =
-    if Sched.is_empty t then List.rev acc
-    else go ((Sched.pop_min t).V.tid :: acc)
+    if Sched.is_empty t then List.rev acc else go (Sched.pop_min t :: acc)
   in
   go []
 
 let test_pop_order () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
+  let t = Sched.create () in
   Alcotest.(check bool) "fresh heap empty" true (Sched.is_empty t);
   Alcotest.(check int) "empty min_key" max_int (Sched.min_key t);
   Alcotest.(check bool) "empty: nothing precedes" false
     (Sched.min_precedes t ~key:min_int ~tid:max_int);
   (* out-of-order keys, including a (clock, tid) tie at 5 *)
   List.iter
-    (fun (k, tid) -> Sched.push t ~key:k (mk_thread tid))
+    (fun (k, tid) -> Sched.push t ~key:k tid)
     [ (5, 3); (1, 2); (5, 1); (0, 4); (3, 0) ];
   Alcotest.(check int) "size" 5 (Sched.size t);
   Alcotest.(check int) "min_key" 0 (Sched.min_key t);
@@ -41,20 +34,19 @@ let test_pop_order () =
   Alcotest.(check bool) "drained empty" true (Sched.is_empty t)
 
 let test_rekey () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
-  let a = mk_thread 1 and b = mk_thread 2 and c = mk_thread 3 in
-  Sched.push t ~key:10 a;
-  Sched.push t ~key:20 b;
-  Sched.push t ~key:30 c;
+  let t = Sched.create () in
+  Sched.push t ~key:10 1;
+  Sched.push t ~key:20 2;
+  Sched.push t ~key:30 3;
   (* re-push = re-key, both directions, without growing the heap *)
-  Sched.push t ~key:5 b;
-  Sched.push t ~key:40 a;
+  Sched.push t ~key:5 2;
+  Sched.push t ~key:40 1;
   Alcotest.(check int) "size unchanged" 3 (Sched.size t);
   Alcotest.(check (list int)) "re-keyed order" [ 2; 3; 1 ] (drain t)
 
 let test_mem_remove () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
-  List.iter (fun tid -> Sched.push t ~key:tid (mk_thread tid)) [ 1; 2; 3; 4; 5 ];
+  let t = Sched.create () in
+  List.iter (fun tid -> Sched.push t ~key:tid tid) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check bool) "mem present" true (Sched.mem t 3);
   Alcotest.(check bool) "mem absent" false (Sched.mem t 9);
   Sched.remove t 3;
@@ -63,90 +55,45 @@ let test_mem_remove () =
   Alcotest.(check bool) "removed" false (Sched.mem t 3);
   Alcotest.(check int) "size after removes" 3 (Sched.size t);
   Alcotest.(check (list int)) "order after removes" [ 2; 4; 5 ] (drain t);
-  Sched.push t ~key:7 (mk_thread 1);
+  Sched.push t ~key:7 1;
   Alcotest.(check (list int)) "reusable after drain" [ 1 ] (drain t)
 
 let test_pop_min_empty () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
+  let t = Sched.create () in
   Alcotest.check_raises "pop_min on an empty heap"
     (Invalid_argument "Sched.pop_min: empty heap") (fun () ->
       ignore (Sched.pop_min t))
 
 let test_push_pop () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
-  let a = mk_thread 1 and b = mk_thread 2 and c = mk_thread 3 in
-  (* empty heap: the pushed thread comes straight back, heap untouched *)
-  Alcotest.(check int) "empty: returns itself" 2
-    (Sched.push_pop t ~key:7 b).V.tid;
+  let t = Sched.create () in
+  (* empty heap: the pushed tid comes straight back, heap untouched *)
+  Alcotest.(check int) "empty: returns itself" 2 (Sched.push_pop t ~key:7 2);
   Alcotest.(check bool) "empty: stays empty" true (Sched.is_empty t);
-  Sched.push t ~key:10 a;
-  Sched.push t ~key:20 c;
+  Sched.push t ~key:10 1;
+  Sched.push t ~key:20 3;
   (* strict minimum: itself, nothing moves *)
-  Alcotest.(check int) "strict min: itself" 2 (Sched.push_pop t ~key:5 b).V.tid;
+  Alcotest.(check int) "strict min: itself" 2 (Sched.push_pop t ~key:5 2);
   Alcotest.(check bool) "strict min: not inserted" false (Sched.mem t 2);
   (* key tie with the root, larger tid: still itself *)
-  Alcotest.(check int) "tie, larger tid: itself" 2
-    (Sched.push_pop t ~key:10 b).V.tid;
+  Alcotest.(check int) "tie, larger tid: itself" 2 (Sched.push_pop t ~key:10 2);
   Alcotest.(check int) "tie: size unchanged" 2 (Sched.size t);
-  (* key tie with the root, smaller tid: the root wins and [th] goes in *)
-  let d = mk_thread 0 in
-  Alcotest.(check int) "tie, smaller tid: root" 1
-    (Sched.push_pop t ~key:10 d).V.tid;
+  (* key tie with the root, smaller tid: the root wins and [tid] goes in *)
+  Alcotest.(check int) "tie, smaller tid: root" 1 (Sched.push_pop t ~key:10 0);
   Alcotest.(check bool) "root left" false (Sched.mem t 1);
-  Alcotest.(check bool) "pushed thread in" true (Sched.mem t 0);
-  (* larger key: the root comes out, [th] sifts into place *)
-  Alcotest.(check int) "larger key: root" 0 (Sched.push_pop t ~key:30 b).V.tid;
+  Alcotest.(check bool) "pushed tid in" true (Sched.mem t 0);
+  (* larger key: the root comes out, [tid] sifts into place *)
+  Alcotest.(check int) "larger key: root" 0 (Sched.push_pop t ~key:30 2);
   Alcotest.(check (list int)) "replaced order" [ 3; 2 ] (drain t);
-  (* a thread already present is re-keyed first, then the minimum pops *)
-  Sched.push t ~key:10 a;
-  Sched.push t ~key:20 c;
-  Alcotest.(check int) "re-key down: itself" 3
-    (Sched.push_pop t ~key:5 c).V.tid;
-  Alcotest.(check bool) "re-keyed thread popped" false (Sched.mem t 3);
-  Sched.push t ~key:20 c;
-  Alcotest.(check int) "re-key up: new root" 3
-    (Sched.push_pop t ~key:40 a).V.tid;
+  (* a tid already present is re-keyed first, then the minimum pops *)
+  Sched.push t ~key:10 1;
+  Sched.push t ~key:20 3;
+  Alcotest.(check int) "re-key down: itself" 3 (Sched.push_pop t ~key:5 3);
+  Alcotest.(check bool) "re-keyed tid popped" false (Sched.mem t 3);
+  Sched.push t ~key:20 3;
+  Alcotest.(check int) "re-key up: new root" 3 (Sched.push_pop t ~key:40 1);
   Alcotest.(check int) "re-key up: size" 1 (Sched.size t);
   Alcotest.(check int) "re-key up: key kept" 40 (Sched.min_key t);
   Alcotest.(check (list int)) "re-keyed order" [ 1 ] (drain t)
-
-(* A removed or popped thread must not stay reachable from the heap. *)
-let test_no_retention () =
-  let t = Sched.create ~dummy:(mk_thread 0) in
-  let keep = mk_thread 1 in
-  Sched.push t ~key:0 keep;
-  let[@inline never] insert_weak tid how =
-    let w = Weak.create 1 in
-    let th = mk_thread tid in
-    Weak.set w 0 (Some th);
-    Sched.push t ~key:(10 + tid) th;
-    (match how with
-    | `Remove -> Sched.remove t tid
-    | `Pop ->
-        (* [keep] (key 0) is the root: park it behind [th], pop [th] *)
-        Sched.push t ~key:100 keep;
-        ignore (Sched.pop_min t);
-        Sched.push t ~key:0 keep
-    | `Push_pop ->
-        (* [th] is the root once [keep] is out; a push_pop of [keep] with
-           a larger key takes [th]'s slot and returns it *)
-        Sched.remove t 1;
-        ignore (Sched.push_pop t ~key:100 keep);
-        Sched.push t ~key:0 keep);
-    w
-  in
-  let ws =
-    [ insert_weak 2 `Remove; insert_weak 3 `Pop; insert_weak 4 `Push_pop ]
-  in
-  Gc.full_major ();
-  List.iteri
-    (fun i w ->
-      Alcotest.(check bool)
-        (Printf.sprintf "thread %d collected" (i + 2))
-        true
-        (Option.is_none (Weak.get w 0)))
-    ws;
-  Alcotest.(check (list int)) "kept thread still there" [ 1 ] (drain t)
 
 (* Random push/re-key/remove/pop_min/push_pop traffic against a
    sorted-list model. *)
@@ -155,8 +102,7 @@ let test_randomized_vs_model =
     QCheck.(list (triple (int_bound 4) (int_bound 50) (int_bound 19)))
   in
   Tutil.qtest "heap agrees with sorted model" ~count:300 gen (fun ops ->
-      let t = Sched.create ~dummy:(mk_thread 0) in
-      let threads = Array.init 20 mk_thread in
+      let t = Sched.create () in
       let model = Hashtbl.create 16 in
       let sorted () =
         Hashtbl.fold (fun tid key acc -> (key, tid) :: acc) model []
@@ -180,14 +126,14 @@ let test_randomized_vs_model =
               Hashtbl.remove model tid
           | 1 ->
               if Hashtbl.length model > 0 then
-                let got = (Sched.pop_min t).V.tid in
+                let got = Sched.pop_min t in
                 if got <> model_pop () then ok := false
           | 2 ->
-              let got = (Sched.push_pop t ~key threads.(tid)).V.tid in
+              let got = Sched.push_pop t ~key tid in
               Hashtbl.replace model tid key;
               if got <> model_pop () then ok := false
           | _ ->
-              Sched.push t ~key threads.(tid);
+              Sched.push t ~key tid;
               Hashtbl.replace model tid key)
         ops;
       let expect = sorted () in
@@ -318,8 +264,10 @@ let test_chunked_advance_12 () =
 
 (* The server path exercises netsim delivery, sleepers and acceptors; the
    scheduler is selected through the BENCH_SCHED environment default, which
-   also covers the smoke script's plumbing. *)
-let test_diff_server () =
+   also covers the smoke script's plumbing. Twelve clients keep several
+   sleepers queued at once, so sleeper wakes pop through interior heap
+   levels too. *)
+let test_diff_server ~clients () =
   let w = Option.get (Workloads.Workload.find "webrick") in
   let run kind =
     Unix.putenv "BENCH_SCHED" (match kind with `Heap -> "heap" | `Ref -> "ref");
@@ -329,14 +277,14 @@ let test_diff_server () =
         let o =
           Harness.Exp.run
             (Harness.Exp.point ~workload:w ~machine:Htm_sim.Machine.xeon_e3
-               ~scheme:Core.Scheme.Htm_dynamic ~threads:3
+               ~scheme:Core.Scheme.Htm_dynamic ~threads:clients
                ~size:Workloads.Size.Test ())
         in
         o.Harness.Exp.result)
   in
   let heap = run `Heap and ref_ = run `Ref in
   Alcotest.(check bool) "served requests" true (heap.requests_completed > 0);
-  assert_same_run "webrick/htm-dynamic/3c" heap ref_
+  assert_same_run (Printf.sprintf "webrick/htm-dynamic/%dc" clients) heap ref_
 
 let suite =
   [
@@ -345,10 +293,12 @@ let suite =
     Alcotest.test_case "mem + remove" `Quick test_mem_remove;
     Alcotest.test_case "pop_min on empty" `Quick test_pop_min_empty;
     Alcotest.test_case "push_pop" `Quick test_push_pop;
-    Alcotest.test_case "no retention" `Quick test_no_retention;
     test_randomized_vs_model;
     Alcotest.test_case "heap = ref scan (compute)" `Quick test_diff_compute;
-    Alcotest.test_case "heap = ref scan (server)" `Quick test_diff_server;
+    Alcotest.test_case "heap = ref scan (server)" `Quick
+      (test_diff_server ~clients:3);
+    Alcotest.test_case "heap = ref scan (server, 12c)" `Quick
+      (test_diff_server ~clients:12);
     Alcotest.test_case "heap = ref scan (npb, 12T)" `Quick test_diff_compute_12;
     Alcotest.test_case "chunked advance = run (npb, 12T)" `Quick
       test_chunked_advance_12;
