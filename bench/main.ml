@@ -120,7 +120,8 @@ let fnv64 s =
 
 (* ---- benchmark trajectory: host-performance history across PRs ----
    An append-only log of timestamped host measurements (wall seconds per
-   figure panel, calibrated interpreter throughput, worker count, tier).
+   figure panel, calibrated interpreter throughput, worker count,
+   scheduler).
    Entries survive regeneration — each figures run appends one — so the
    results file doubles as the perf trajectory future PRs diff against.
    The log sits OUTSIDE the "figures"/"hybrid" members and never affects
@@ -142,8 +143,8 @@ let prior_trajectory () =
       | _ -> [])
   | None -> []
 
-(* Calibrated interpreted-instruction throughput of the selected tier: a
-   fixed intern-range loop, run once to warm the caches and once timed. *)
+(* Calibrated interpreted-instruction throughput: a fixed intern-range
+   loop, run once to warm the caches and once timed. *)
 let interp_insns_per_sec () =
   let cfg =
     Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
@@ -288,12 +289,6 @@ let trajectory_entry ~size ~shard_fields =
   J.Obj
     ([
       ("timestamp", J.Str stamp);
-      ( "interp",
-        J.Str
-          (match Core.Runner.default_interp_kind () with
-          | Core.Runner.Interp_compiled -> "compiled"
-          | Core.Runner.Interp_threaded -> "threaded"
-          | Core.Runner.Interp_ref -> "ref") );
       ( "sched",
         J.Str
           (match Core.Runner.default_sched_kind () with
@@ -547,9 +542,9 @@ let validate path =
 open Bechamel
 open Toolkit
 
-let run_guest ?tracer ?sched ?interp scheme source () =
+let run_guest ?tracer ?sched scheme source () =
   let cfg =
-    Core.Runner.config ?tracer ?sched ?interp ~scheme Htm_sim.Machine.zec12
+    Core.Runner.config ?tracer ?sched ~scheme Htm_sim.Machine.zec12
   in
   ignore (Core.Runner.run_source cfg ~source)
 
@@ -627,23 +622,6 @@ let micro_tests =
     Test.make ~name:"sched:ref-scan"
       (Staged.stage
          (run_guest ~sched:Core.Runner.Sched_ref Core.Scheme.Htm_dynamic
-            mt_source));
-    (* Interpreter tentpole: the same multithreaded guest under the
-       pre-decoded threaded dispatch loop and under the reference switch
-       loop over the tagged bytecode *)
-    Test.make ~name:"interp:threaded"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_threaded Core.Scheme.Htm_dynamic
-            mt_source));
-    Test.make ~name:"interp:ref-switch"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_ref Core.Scheme.Htm_dynamic
-            mt_source));
-    (* Tier-3 tentpole: hot superblocks compiled to chained closures, with
-       deoptimization back to the threaded tier at yields and guard misses *)
-    Test.make ~name:"interp:compiled"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_compiled Core.Scheme.Htm_dynamic
             mt_source));
   ]
 
@@ -881,105 +859,80 @@ let zero_alloc_check ?(hot = true) () =
     exit 1
   end
 
-(* Acceptance gate for the interpreter fast paths + run-ahead scheduler:
-   the marginal cost of one more interpreted instruction must be nearly
-   allocation-free. Comparing a long and a short run of the same int loop
+(* Acceptance gate for the step loop: the marginal interpreted instruction
+   must not allocate. Comparing a long and a short run of the same loop
    cancels the fixed compile/boot allocations; what remains is the step
-   loop itself (small-int results are interned, step costs drain without
-   tupling, scheduling is a heap-root comparison). *)
+   loop itself (cost class and yield bits from the code's per-pc table,
+   small-int results interned, step costs drained without tupling,
+   scheduling a heap-root comparison). The guest keeps every value inside
+   the small-int intern range — boxing a large [VInt] is a guest
+   allocation, not a step-loop one — and the budget only absorbs the boxed
+   floats [Gc.minor_words] itself returns. *)
 let step_alloc_check () =
-  Format.fprintf fmt "@.=== steady-state allocation per interpreted instruction ===@.";
+  Format.fprintf fmt
+    "@.=== steady-state allocation per interpreted instruction ===@.";
   let loop_source n =
-    Printf.sprintf "x = 0\ni = 0\nwhile i < %d\n  x += i\n  i += 1\nend\nputs x" n
+    Printf.sprintf
+      "x = 0\ni = 0\nwhile i < %d\n  x = (x + i) %% 256\n  i += 1\nend\nputs x"
+      n
   in
   let measure n =
     let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_ref Htm_sim.Machine.zec12
+      Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
     in
     let w0 = Gc.minor_words () in
     let r = Core.Runner.run_source cfg ~source:(loop_source n) in
     (Gc.minor_words () -. w0, float_of_int r.Core.Runner.total_insns)
   in
   ignore (measure 1_000);
-  (* warm: intern table, code caches *)
+  (* warm: intern table *)
   let w_short, i_short = measure 1_000 in
-  let w_long, i_long = measure 200_000 in
+  let w_long, i_long = measure 50_000 in
   let per_insn = (w_long -. w_short) /. (i_long -. i_short) in
-  Format.fprintf fmt "%.4f minor words per instruction (budget 0.5)@." per_insn;
-  if per_insn > 0.5 then begin
+  Format.fprintf fmt "%.5f minor words per instruction (budget 0.01)@."
+    per_insn;
+  if per_insn > 0.01 then begin
     Format.eprintf "FAIL: interpreter step loop allocates in steady state@.";
     exit 1
   end
 
-(* Acceptance gate for the pre-decoded threaded tier: the decoded form puts
-   every operand in a dense int array and the superblock executor charges
-   costs from a table, so the marginal interpreted instruction must be
-   exactly allocation-free in steady state. The guest keeps every value
-   inside the small-int intern range — boxing a large [VInt] is a guest
-   allocation, not a dispatch-loop one — and the tiny budget only absorbs
-   the boxed floats [Gc.minor_words] itself returns. *)
-let threaded_step_alloc_check () =
+(* Acceptance gate for the transaction window: under the paper's headline
+   configuration (HTM-dynamic, 12 threads) a window opens about every other
+   instruction, so its begin, commit and abort paths must not allocate —
+   no rollback closure per begin (built once per context grant), no event
+   record unless tracing, no footprint pair. The same difference method:
+   two lengths of a 12-thread intern-range loop, minor words over
+   transaction begins (retries included). *)
+let window_alloc_check () =
   Format.fprintf fmt
-    "@.=== steady-state allocation per threaded-tier instruction ===@.";
-  let loop_source n =
+    "@.=== steady-state allocation per transaction window (HTM-dynamic, \
+     12 threads) ===@.";
+  let source n =
     Printf.sprintf
-      "x = 0\ni = 0\nwhile i < %d\n  x = (x + i) %% 256\n  i += 1\nend\nputs x"
+      "ts = []\nt = 0\nwhile t < 12\n  ts << Thread.new do\n    x = 0\n    \
+       i = 0\n    while i < %d\n      x = (x + i) %% 256\n      i += 1\n    \
+       end\n  end\n  t += 1\nend\nts.each { |th| th.join }\nputs 1"
       n
   in
   let measure n =
     let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_threaded Htm_sim.Machine.zec12
+      Core.Runner.config ~scheme:Core.Scheme.Htm_dynamic Htm_sim.Machine.zec12
     in
     let w0 = Gc.minor_words () in
-    let r = Core.Runner.run_source cfg ~source:(loop_source n) in
-    (Gc.minor_words () -. w0, float_of_int r.Core.Runner.total_insns)
+    let r = Core.Runner.run_source cfg ~source:(source n) in
+    ( Gc.minor_words () -. w0,
+      float_of_int r.Core.Runner.htm_stats.Htm_sim.Stats.begins )
   in
-  ignore (measure 1_000);
-  (* warm: intern table, dcode cache *)
-  let w_short, i_short = measure 1_000 in
-  let w_long, i_long = measure 50_000 in
-  let per_insn = (w_long -. w_short) /. (i_long -. i_short) in
-  Format.fprintf fmt "%.5f minor words per instruction (budget 0.01)@."
-    per_insn;
-  if per_insn > 0.01 then begin
-    Format.eprintf "FAIL: threaded interpreter loop allocates in steady state@.";
-    exit 1
-  end
-
-(* Acceptance gate for the compiled (tier-3) superblocks: compilation itself
-   allocates (one closure per fused instruction plus the entry record), but
-   it happens once per hot head; the difference method below runs the same
-   guest at two lengths so the one-time compile allocation cancels and only
-   the marginal per-instruction cost remains, which must stay at the
-   threaded tier's zero budget. *)
-let compiled_step_alloc_check () =
+  ignore (measure 500);
+  (* warm: intern table, per-line tables, abort-site table *)
+  let w_short, b_short = measure 500 in
+  let w_long, b_long = measure 5_000 in
+  let per_window = (w_long -. w_short) /. (b_long -. b_short) in
   Format.fprintf fmt
-    "@.=== steady-state allocation per compiled-tier instruction ===@.";
-  let loop_source n =
-    Printf.sprintf
-      "x = 0\ni = 0\nwhile i < %d\n  x = (x + i) %% 256\n  i += 1\nend\nputs x"
-      n
-  in
-  let measure n =
-    let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_compiled Htm_sim.Machine.zec12
-    in
-    let w0 = Gc.minor_words () in
-    let r = Core.Runner.run_source cfg ~source:(loop_source n) in
-    (Gc.minor_words () -. w0, float_of_int r.Core.Runner.total_insns)
-  in
-  ignore (measure 1_000);
-  (* warm: intern table, dcode cache *)
-  let w_short, i_short = measure 1_000 in
-  let w_long, i_long = measure 50_000 in
-  let per_insn = (w_long -. w_short) /. (i_long -. i_short) in
-  Format.fprintf fmt "%.5f minor words per instruction (budget 0.01)@."
-    per_insn;
-  if per_insn > 0.01 then begin
-    Format.eprintf "FAIL: compiled superblock loop allocates in steady state@.";
+    "%.5f minor words per window over %.0f windows (budget 0.01)@."
+    per_window (b_long -. b_short);
+  if per_window > 0.01 then begin
+    Format.eprintf "FAIL: transaction windows allocate in steady state@.";
     exit 1
   end
 
@@ -1078,8 +1031,7 @@ let gates () =
   stm_alloc_check ();
   stm_alloc_check ~hot:false ();
   step_alloc_check ();
-  threaded_step_alloc_check ();
-  compiled_step_alloc_check ();
+  window_alloc_check ();
   sched_alloc_check ();
   intxn_pair_check ()
 
@@ -1093,8 +1045,7 @@ let micro () =
   stm_alloc_check ();
   stm_alloc_check ~hot:false ();
   step_alloc_check ();
-  threaded_step_alloc_check ();
-  compiled_step_alloc_check ();
+  window_alloc_check ();
   sched_alloc_check ();
   intxn_pair_check ()
 
@@ -1108,7 +1059,7 @@ let () =
       let path = if Array.length Sys.argv > 2 then Sys.argv.(2) else results_file in
       validate path
   | "insns" ->
-      (* quick throughput probe of the selected tier, for perf work *)
+      (* quick throughput probe of the interpreter, for perf work *)
       Format.fprintf fmt "interp insns/sec: %.3e@." (interp_insns_per_sec ())
   | _ ->
       figures ();

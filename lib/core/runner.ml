@@ -34,18 +34,6 @@ let default_sched_kind () =
   | Some ("ref" | "REF" | "scan") -> Sched_ref
   | _ -> Sched_heap
 
-type interp_kind = Interp_compiled | Interp_threaded | Interp_ref
-
-(* Same pattern for the interpreter tier: BENCH_INTERP=ref (or =threaded)
-   regenerates everything under the reference switch loop (or the threaded
-   tier without superblock compilation) so the smoke script and CI can
-   compare figure digests across tiers. The compiled tier is the default. *)
-let default_interp_kind () =
-  match Sys.getenv_opt "BENCH_INTERP" with
-  | Some ("ref" | "REF" | "switch") -> Interp_ref
-  | Some ("threaded" | "THREADED") -> Interp_threaded
-  | _ -> Interp_compiled
-
 type config = {
   machine : Machine.t;
   scheme : Scheme.kind;
@@ -57,7 +45,6 @@ type config = {
       (** event-trace sink shared by the runner, the GIL and the heap; None
           (the default) keeps every instrumentation site at one branch *)
   sched : sched_kind;
-  interp : interp_kind;
   clock : Tm_clock.scheme;
       (** global commit-clock scheme the STM publishes under (GV1 unless
           BENCH_CLOCK or --clock says otherwise); irrelevant for schemes
@@ -66,20 +53,16 @@ type config = {
       (** how hardware windows subscribe to the GIL/clock words (eager
           unless BENCH_SUB or --subscription says otherwise) *)
   hot : bool;
-      (** in-transaction access fast paths (engine line memos + the
-          superblock executor's batched cost accounting); on unless
-          BENCH_HOT=off or [?hot] says otherwise. Both settings replay
-          every observable decision byte-identically *)
+      (** in-transaction access fast paths (engine line memos and undo
+          coalescing); on unless BENCH_HOT=off or [?hot] says otherwise.
+          Both settings replay every observable decision byte-identically *)
 }
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
-    ?tracer ?sched ?interp ?clock ?subscription ?hot machine =
+    ?tracer ?sched ?clock ?subscription ?hot machine =
   let sched =
     match sched with Some s -> s | None -> default_sched_kind ()
-  in
-  let interp =
-    match interp with Some i -> i | None -> default_interp_kind ()
   in
   let clock =
     match clock with Some c -> c | None -> Tm_clock.default_scheme ()
@@ -89,7 +72,7 @@ let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended
   in
   let hot = match hot with Some h -> h | None -> Htm.default_hot () in
   { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
-    sched; interp; clock; subscription; hot }
+    sched; clock; subscription; hot }
 
 type breakdown = {
   mutable bd_txn_overhead : int;
@@ -117,9 +100,6 @@ type result = {
   request_throughput : float;  (** requests/sec where netsim is used *)
   metrics : Obs.Metrics.t;  (** the VM's registry, runner histograms included *)
   abort_sites : Obs.Sites.t;  (** abort-site attribution for this run *)
-  jit_profile : (int * int * int * bool) list;
-      (** hot superblock heads as [(uid, pc, count, compiled)], most-executed
-          first — empty unless the compiled tier ran *)
   trace : Obs.Trace.t option;  (** the sink passed in the config, if any *)
 }
 
@@ -153,6 +133,14 @@ type tle_state = {
 
 let transient_retry_max = 3
 let gil_retry_max = 16
+
+(* What stages 2 and 3 of a step do, resolved from the scheme once at
+   [create]: take the GIL and yield at the original points (the GIL-only
+   scheme), open transactional windows and yield by the window's length
+   counter (the TLE family), or nothing at all. *)
+type stage = Stage_gil | Stage_tle | Stage_free
+
+let no_rollback (_ : Txn.abort_reason) = ()
 
 type t = {
   cfg : config;
@@ -191,9 +179,23 @@ type t = {
           thread falls all the way back to the GIL *)
   mutable tle : tle_state array;
   mutable park_clock : int array;
+  hw_rollback : (Txn.abort_reason -> unit) array;
+  sw_rollback : (Txn.abort_reason -> unit) array;
+      (** per hardware context: the rollback closures of the thread holding
+          it, built once per context grant and dropped at release (so a
+          window begin allocates no closure and a finished thread is not
+          kept alive) *)
   cost_tbl : int array;
-      (** base cycles per [Rvm.Compiler.Dcode] cost class — the threaded
-          tier's table form of [Rvm.Bytecode.base_cost] *)
+      (** base cycles per cost class, [Rvm.Bytecode.cost_table] of the
+          machine: stage 4 charges [cost_tbl.(class)] from the code's
+          per-pc table *)
+  uses_htm : bool;  (** [Scheme.uses_htm], resolved once *)
+  uses_stm : bool;  (** [Scheme.uses_stm], resolved once *)
+  stage : stage;
+  yield_bit : int;
+      (** the bit of [Rvm.Value.code.info] that marks this run's yield
+          points: the original set under the GIL, the configured set under
+          the TLE schemes *)
   (* wait queues *)
   mutex_waiters : (int, V.t Queue.t) Hashtbl.t;
   cond_waiters : (int, (V.t * int) Queue.t) Hashtbl.t;
@@ -201,15 +203,6 @@ type t = {
   sleepq : Sched.t;  (** sleeping / io-waiting threads, keyed by wake cycle *)
   accept_waiters : V.t Queue.t;
   mutable total_insns : int;
-  (* Pending batched accounting from the tier-3 fast window (see the
-     BENCH_HOT comment there): retired-instruction count and cycle
-     breakdowns accumulated in these fields instead of per component, and
-     flushed at window exit / component retirement. Live only inside one
-     thread's fast window; always zero outside it. Fields rather than
-     window-local refs so entering the window never allocates. *)
-  mutable fw_b_insns : int;
-  mutable fw_b_held : int;
-  mutable fw_b_other : int;
   prng : Prng.t;  (** scheduling-only randomness (retry backoff) *)
   breakdown : breakdown;
   mutable stop : unit -> bool;
@@ -241,10 +234,6 @@ type t = {
       (** clock-cell writes avoided (mirrors [Tm_clock.skipped]) *)
   m_clock_switches : Obs.Metrics.counter;
       (** GV6 regime switches (mirrors [Tm_clock.switches]) *)
-  m_deopt_rollback : Obs.Metrics.counter;
-      (** compiled-tier components re-routed through [Interp.step_d]
-          because the thread's registers left the superblock (window
-          rollback, call/return, branch out) *)
   m_slice_insns : Obs.Metrics.histogram;
       (** instructions executed per run-ahead slice *)
   g_runnable_peak : Obs.Metrics.gauge;
@@ -399,28 +388,28 @@ let create ?(io : Netsim.t option) cfg ~source =
     stm_mode = Array.make max_threads false;
     tle = Array.init max_threads (fun _ -> fresh_tle ());
     park_clock = Array.make max_threads 0;
-    cost_tbl =
-      (let c = cfg.machine.costs in
-       let tbl =
-         [|
-           c.cyc_insn;
-           c.cyc_insn + c.cyc_send;
-           c.cyc_insn + (10 * c.cyc_send);
-           c.cyc_insn + c.cyc_alloc;
-           4 * c.cyc_insn;
-         |]
-       in
-       assert (Array.length tbl = Rvm.Compiler.Dcode.n_cost_classes);
-       tbl);
+    hw_rollback = Array.make (Machine.n_ctx cfg.machine) no_rollback;
+    sw_rollback = Array.make (Machine.n_ctx cfg.machine) no_rollback;
+    cost_tbl = Rvm.Bytecode.cost_table cfg.machine.costs;
+    uses_htm = Scheme.uses_htm cfg.scheme;
+    uses_stm = Scheme.uses_stm cfg.scheme;
+    stage =
+      (match cfg.scheme with
+      | Scheme.Gil_only -> Stage_gil
+      | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
+      | Scheme.Stm_only ->
+          Stage_tle
+      | Scheme.Fine_grained | Scheme.Free_parallel -> Stage_free);
+    yield_bit =
+      (match cfg.scheme with
+      | Scheme.Gil_only -> Yield_points.info_bit Yield_points.Original
+      | _ -> Yield_points.info_bit cfg.yield_points);
     mutex_waiters = Hashtbl.create 16;
     cond_waiters = Hashtbl.create 16;
     join_waiters = Hashtbl.create 16;
     sleepq = Sched.create ();
     accept_waiters = Queue.create ();
     total_insns = 0;
-    fw_b_insns = 0;
-    fw_b_held = 0;
-    fw_b_other = 0;
     prng = Prng.create 20140215;
     breakdown =
       {
@@ -450,7 +439,6 @@ let create ?(io : Netsim.t option) cfg ~source =
     m_clock_bumps = Obs.Metrics.counter metrics "clock.bumps";
     m_clock_skipped = Obs.Metrics.counter metrics "clock.skipped";
     m_clock_switches = Obs.Metrics.counter metrics "clock.switches";
-    m_deopt_rollback = Obs.Metrics.counter metrics "deopt.rollback";
     m_slice_insns = Obs.Metrics.histogram metrics "sched.slice_insns";
     g_runnable_peak = Obs.Metrics.gauge metrics "sched.runnable_peak";
     g_accept_queue_peak = Obs.Metrics.gauge metrics "net.accept_queue_peak";
@@ -542,6 +530,98 @@ let sched_sync t (th : V.t) =
       Sched.push t.sched ~key:th.clock th.tid
     else Sched.remove t.sched th.tid
 
+(* ---- rollback closures --------------------------------------------------- *)
+
+(* The rollback closure run by the engine whenever this thread's transaction
+   dies (self-abort or victim of a conflict). The abort site — the bytecode
+   this thread was executing when it died — must be read before [V.restore]
+   rewinds the registers to the window start. *)
+let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
+  th.n_aborts <- th.n_aborts + 1;
+  let code = th.code.Rvm.Value.code_name and pc = th.pc in
+  let op =
+    if pc >= 0 && pc < Array.length th.code.insns then
+      Rvm.Bytecode.insn_name th.code.insns.(pc)
+    else "?"
+  in
+  V.restore th;
+  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
+  th.cyc_aborted <- th.cyc_aborted + wasted;
+  t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
+  let htm = t.vm.Rvm.Vm.htm in
+  let line = Htm.abort_line htm th.ctx in
+  (* split the subscription-kill attribution the ablation cares about:
+     GIL-word kills (TLE's lemming cost) vs commit-clock kills (the STM
+     publication cost GV5/GV6 exist to shrink) *)
+  (if line >= 0 then
+     let store = t.vm.Rvm.Vm.store in
+     if line = Store.line_of store t.vm.Rvm.Vm.g_gil then
+       Obs.Metrics.incr t.m_kill_gil
+     else
+       match t.stm with
+       | Some stm when line = Store.line_of store (Stm.clock_cell stm) ->
+           Obs.Metrics.incr t.m_kill_clock
+       | _ -> ());
+  let reason_s = Txn.reason_to_string reason in
+  Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
+  Obs.Metrics.observe t.m_txn_aborted wasted;
+  if Option.is_some t.tracer then
+    emit t th
+      (Obs.Event.Txn_abort
+         {
+           reason = reason_s;
+           cycles = wasted;
+           rs = Htm.footprint_rs htm th.ctx;
+           ws = Htm.footprint_ws htm th.ctx;
+           line;
+           code;
+           pc;
+           op;
+         });
+  th.clock <- th.clock + (costs t).cyc_abort;
+  (* a conflict victim can be any runnable thread: its clock just moved, so
+     its heap key is stale until re-synced (self-aborts are skipped by the
+     running-slice guard and re-synced at slice end) *)
+  sched_sync t th
+
+let stm_of t = match t.stm with Some s -> s | None -> assert false
+
+(* The STM mirror of [rollback_hook]: run by [Stm.abort] whenever this
+   thread's software transaction dies (failed validation, a GIL
+   acquisition, or an explicit escape). *)
+let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
+  th.n_aborts <- th.n_aborts + 1;
+  let code = th.code.Rvm.Value.code_name and pc = th.pc in
+  let op =
+    if pc >= 0 && pc < Array.length th.code.insns then
+      Rvm.Bytecode.insn_name th.code.insns.(pc)
+    else "?"
+  in
+  V.restore th;
+  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
+  th.cyc_aborted <- th.cyc_aborted + wasted;
+  t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
+  let stm = stm_of t in
+  let line = Stm.abort_line stm th.ctx in
+  let reason_s = Txn.reason_to_string reason in
+  Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
+  Obs.Metrics.observe t.m_txn_aborted wasted;
+  if Option.is_some t.tracer then
+    emit t th
+      (Obs.Event.Txn_abort
+         {
+           reason = reason_s;
+           cycles = wasted;
+           rs = Stm.footprint_rs stm th.ctx;
+           ws = Stm.footprint_ws stm th.ctx;
+           line;
+           code;
+           pc;
+           op;
+         });
+  th.clock <- th.clock + (costs t).cyc_abort;
+  sched_sync t th
+
 (* A hardware context belongs to a thread only while it can run: parking
    releases it to the pool (a blocked pthread yields its CPU), waking
    re-acquires one, possibly waiting for a free core. *)
@@ -551,6 +631,9 @@ let grant_ctx t (th : V.t) =
       t.free_ctx <- rest;
       th.ctx <- ctx;
       Htm.set_occupied t.vm.Rvm.Vm.htm ctx true;
+      t.hw_rollback.(ctx) <- rollback_hook t th;
+      if Option.is_some t.stm then
+        t.sw_rollback.(ctx) <- stm_rollback_hook t th;
       true
   | [] ->
       ensure_tid t th.tid;
@@ -563,6 +646,8 @@ let grant_ctx t (th : V.t) =
 let release_ctx t (th : V.t) =
   if th.ctx >= 0 then begin
     Htm.set_occupied t.vm.Rvm.Vm.htm th.ctx false;
+    t.hw_rollback.(th.ctx) <- no_rollback;
+    t.sw_rollback.(th.ctx) <- no_rollback;
     t.free_ctx <- th.ctx :: t.free_ctx;
     th.ctx <- -1;
     if not (Queue.is_empty t.ctx_waiters) then begin
@@ -621,69 +706,6 @@ let charge_txn_overhead t (th : V.t) c =
   th.cyc_txn_overhead <- th.cyc_txn_overhead + c;
   t.breakdown.bd_txn_overhead <- t.breakdown.bd_txn_overhead + c
 
-(* Flush the tier-3 fast window's pending batched accounting (BENCH_HOT;
-   see the window) into the real accumulators. [th] must be the thread
-   whose window accumulated it — the batch never survives a window exit,
-   so the fields are zero whenever any other thread runs. *)
-let[@inline] flush_fw_acct t (th : V.t) =
-  if t.fw_b_insns <> 0 then begin
-    th.work <- th.work + t.fw_b_insns;
-    t.total_insns <- t.total_insns + t.fw_b_insns;
-    t.fw_b_insns <- 0
-  end;
-  if t.fw_b_held <> 0 then begin
-    th.cyc_gil_held <- th.cyc_gil_held + t.fw_b_held;
-    t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + t.fw_b_held;
-    t.fw_b_held <- 0
-  end;
-  if t.fw_b_other <> 0 then begin
-    t.breakdown.bd_other <- t.breakdown.bd_other + t.fw_b_other;
-    t.fw_b_other <- 0
-  end
-
-(* The rollback closure run by the engine whenever this thread's transaction
-   dies (self-abort or victim of a conflict). The abort site — the bytecode
-   this thread was executing when it died — must be read before [V.restore]
-   rewinds the registers to the window start. *)
-let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
-  th.n_aborts <- th.n_aborts + 1;
-  let code = th.code.Rvm.Value.code_name and pc = th.pc in
-  let op =
-    if pc >= 0 && pc < Array.length th.code.insns then
-      Rvm.Bytecode.insn_name th.code.insns.(pc)
-    else "?"
-  in
-  V.restore th;
-  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
-  th.cyc_aborted <- th.cyc_aborted + wasted;
-  t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
-  let htm = t.vm.Rvm.Vm.htm in
-  let line = Htm.abort_line htm th.ctx in
-  (* split the subscription-kill attribution the ablation cares about:
-     GIL-word kills (TLE's lemming cost) vs commit-clock kills (the STM
-     publication cost GV5/GV6 exist to shrink) *)
-  (if line >= 0 then
-     let store = t.vm.Rvm.Vm.store in
-     if line = Store.line_of store t.vm.Rvm.Vm.g_gil then
-       Obs.Metrics.incr t.m_kill_gil
-     else
-       match t.stm with
-       | Some stm when line = Store.line_of store (Stm.clock_cell stm) ->
-           Obs.Metrics.incr t.m_kill_clock
-       | _ -> ());
-  let rs, ws = Htm.txn_footprint htm th.ctx in
-  let reason_s = Txn.reason_to_string reason in
-  Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
-  Obs.Metrics.observe t.m_txn_aborted wasted;
-  emit t th
-    (Obs.Event.Txn_abort
-       { reason = reason_s; cycles = wasted; rs; ws; line; code; pc; op });
-  th.clock <- th.clock + (costs t).cyc_abort;
-  (* a conflict victim can be any runnable thread: its clock just moved, so
-     its heap key is stale until re-synced (self-aborts are skipped by the
-     running-slice guard and re-synced at slice end) *)
-  sched_sync t th
-
 let set_yield_counter t (th : V.t) len =
   Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx
     (th.struct_base + V.st_yield_counter)
@@ -702,35 +724,6 @@ let reset_retries t (th : V.t) =
   st.stm_retry_counter <- -1
 
 (* ---- the software fallback (lib/stm) ------------------------------------ *)
-
-let stm_of t = match t.stm with Some s -> s | None -> assert false
-
-(* The STM mirror of [rollback_hook]: run by [Stm.abort] whenever this
-   thread's software transaction dies (failed validation, a GIL
-   acquisition, or an explicit escape). *)
-let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
-  th.n_aborts <- th.n_aborts + 1;
-  let code = th.code.Rvm.Value.code_name and pc = th.pc in
-  let op =
-    if pc >= 0 && pc < Array.length th.code.insns then
-      Rvm.Bytecode.insn_name th.code.insns.(pc)
-    else "?"
-  in
-  V.restore th;
-  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
-  th.cyc_aborted <- th.cyc_aborted + wasted;
-  t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
-  let stm = stm_of t in
-  let line = Stm.abort_line stm th.ctx in
-  let rs, ws = Stm.footprint stm th.ctx in
-  let reason_s = Txn.reason_to_string reason in
-  Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
-  Obs.Metrics.observe t.m_txn_aborted wasted;
-  emit t th
-    (Obs.Event.Txn_abort
-       { reason = reason_s; cycles = wasted; rs; ws; line; code; pc; op });
-  th.clock <- th.clock + (costs t).cyc_abort;
-  sched_sync t th
 
 (* Software-transaction begin, the [transaction_begin] mirror. Returns
    false if the thread parked. Like hardware windows, software windows obey
@@ -780,7 +773,7 @@ let stm_begin t (th : V.t) =
     charge_txn_overhead t th (costs t).cyc_stm_begin;
     V.snapshot th;
     th.txn_start_clock <- th.clock;
-    Stm.begin_ (stm_of t) ~ctx:th.ctx ~rollback:(stm_rollback_hook t th);
+    Stm.begin_ (stm_of t) ~ctx:th.ctx ~rollback:t.sw_rollback.(th.ctx);
     emit t th Obs.Event.Txn_begin;
     (* these writes route into the redo log: the engine dispatches
        [Htm.read]/[Htm.write] to the STM for software-active contexts *)
@@ -844,7 +837,8 @@ let stm_commit t (th : V.t) =
       false
     end
     else begin
-      let rs, ws = Stm.footprint stm th.ctx in
+      let rs = Stm.footprint_rs stm th.ctx
+      and ws = Stm.footprint_ws stm th.ctx in
       charge_txn_overhead t th
         ((costs t).cyc_stm_commit
         + (rs * (costs t).cyc_stm_valid_line)
@@ -858,8 +852,9 @@ let stm_commit t (th : V.t) =
       Obs.Metrics.observe t.m_txn_rs rs;
       Obs.Metrics.observe t.m_txn_ws ws;
       Obs.Metrics.observe t.m_txn_retries retries;
-      emit t th
-        (Obs.Event.Txn_commit { cycles = in_txn_cycles; rs; ws; retries });
+      if Option.is_some t.tracer then
+        emit t th
+          (Obs.Event.Txn_commit { cycles = in_txn_cycles; rs; ws; retries });
       Stm.Budget.reward t.stm_budget ~uid:st.stm_site_uid ~pc:st.stm_site_pc;
       (* a successful software commit ends the episode: the next window
          tries hardware again (under Stm_only the flag is never consulted) *)
@@ -912,7 +907,7 @@ let rec transaction_begin t (th : V.t) =
       charge_txn_overhead t th (costs t).cyc_tbegin;
       V.snapshot th;
       th.txn_start_clock <- th.clock;
-      Htm.tbegin vm.Rvm.Vm.htm ~ctx:th.ctx ~rollback:(rollback_hook t th);
+      Htm.tbegin vm.Rvm.Vm.htm ~ctx:th.ctx ~rollback:t.hw_rollback.(th.ctx);
       emit t th Obs.Event.Txn_begin;
       set_yield_counter t th len;
       (* publish the running thread (Section 4.4 conflict #1) *)
@@ -1107,7 +1102,8 @@ let transaction_end t (th : V.t) =
     if lazy_killed then false
     else begin
       let in_txn_cycles = Int.max 0 (th.clock - th.txn_start_clock) in
-      let rs, ws = Htm.txn_footprint vm.Rvm.Vm.htm th.ctx in
+      let rs = Htm.footprint_rs vm.Rvm.Vm.htm th.ctx
+      and ws = Htm.footprint_ws vm.Rvm.Vm.htm th.ctx in
       Htm.tend vm.Rvm.Vm.htm ~ctx:th.ctx;
       charge_txn_overhead t th (costs t).cyc_tend;
       th.cyc_committed <- th.cyc_committed + in_txn_cycles;
@@ -1121,8 +1117,10 @@ let transaction_end t (th : V.t) =
       Obs.Metrics.observe t.m_txn_rs rs;
       Obs.Metrics.observe t.m_txn_ws ws;
       Obs.Metrics.observe t.m_txn_retries retries;
-      emit t th
-        (Obs.Event.Txn_commit { cycles = in_txn_cycles; rs; ws; retries });
+      (* guarded here, not in [emit]: building the event allocates *)
+      if Option.is_some t.tracer then
+        emit t th
+          (Obs.Event.Txn_commit { cycles = in_txn_cycles; rs; ws; retries });
       reset_retries t th;
       true
     end
@@ -1228,7 +1226,10 @@ let on_block t (th : V.t) reason =
   | V.On_join tid ->
       Hashtbl.replace t.join_waiters tid
         (th :: Option.value (Hashtbl.find_opt t.join_waiters tid) ~default:[])
-  | V.On_sleep at | V.On_io at -> Sched.push t.sleepq ~key:at th.tid
+  | V.On_sleep at | V.On_io at ->
+      (* a guest sleep can name any instant; the heap's packed keys span
+         [0, Sched.max_key] cycles, far beyond any run *)
+      Sched.push t.sleepq ~key:(Int.max 0 (Int.min at Sched.max_key)) th.tid
   | V.On_accept _ -> Queue.add th t.accept_waiters);
   park t th reason
 
@@ -1399,10 +1400,13 @@ let pick_runnable_ref t =
     t.vm.Rvm.Vm.threads;
   !best
 
-(* Execute one scheduling step for [th]. *)
+(* Execute one scheduling step for [th]: handle an outstanding abort,
+   enter a window, pass the yield point, execute one instruction. Stages 2
+   and 3 follow [t.stage], and the yield decision and base cost come from
+   the code's per-pc table ([Rvm.Value.code.info]), so the step derives
+   nothing from the scheme or the instruction itself. *)
 let step_thread t (th : V.t) =
   let vm = t.vm in
-  let scheme = t.cfg.scheme in
   if th.tid <> t.last_tid then begin
     (* guarded here, not in [emit]: building the event allocates *)
     if t.last_tid >= 0 && Option.is_some t.tracer then
@@ -1410,10 +1414,10 @@ let step_thread t (th : V.t) =
     t.last_tid <- th.tid
   end;
   (* 1. outstanding abort to handle? *)
-  if Scheme.uses_htm scheme && Htm.pending_abort vm.Rvm.Vm.htm th.ctx <> None then
+  if t.uses_htm && Htm.pending_abort vm.Rvm.Vm.htm th.ctx <> None then
     handle_abort t th
   else if
-    Scheme.uses_stm scheme
+    t.uses_stm
     && (match t.stm with
        | Some s -> Stm.pending_abort s th.ctx <> None
        | None -> false)
@@ -1422,10 +1426,9 @@ let step_thread t (th : V.t) =
   else begin
     (* 2. enter a window if outside one *)
     (if t.outside.(th.tid) then
-       match scheme with
-       | Scheme.Gil_only -> ignore (gil_enter t th)
-       | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-       | Scheme.Stm_only ->
+       match t.stage with
+       | Stage_gil -> ignore (gil_enter t th)
+       | Stage_tle ->
            if t.resume_gil.(th.tid) then begin
              (* back from a blocking region: reacquire the GIL and finish
                 the current window on the fallback path *)
@@ -1435,32 +1438,35 @@ let step_thread t (th : V.t) =
              end
            end
            else ignore (window_begin t th)
-       | Scheme.Fine_grained | Scheme.Free_parallel -> t.outside.(th.tid) <- false);
+       | Stage_free -> t.outside.(th.tid) <- false);
     if th.status <> V.Runnable then ()
     else begin
-      let insn = th.code.insns.(th.pc) in
+      (* the yield decision and the charged base cost belong to the
+         instruction at the pre-yield pc, even when a failed software
+         commit in stage 3 rolls the registers back to an older one *)
+      let info = Char.code (Bytes.get th.code.info th.pc) in
       (* 3. yield point *)
-      (match scheme with
-      | Scheme.Gil_only ->
-          if Yield_points.original_point insn then gil_yield_point t th
-      | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-      | Scheme.Stm_only -> (
+      (match t.stage with
+      | Stage_gil -> if info land t.yield_bit <> 0 then gil_yield_point t th
+      | Stage_tle -> (
           if t.skip_yield.(th.tid) then t.skip_yield.(th.tid) <- false
-          else if Yield_points.is_yield_point t.cfg.yield_points insn then
+          else if info land t.yield_bit <> 0 then
             (* a software window's yield-counter read can fail validation:
                the rollback has already run, so just stop this step and let
                the retry policy pick the thread up again *)
             try transaction_yield t th with Htm.Abort_now _ -> ())
-      | Scheme.Fine_grained | Scheme.Free_parallel -> ());
+      | Stage_free -> ());
       if th.status <> V.Runnable then ()
       else begin
-        (* 4. execute one instruction *)
+        (* 4. execute one instruction. GIL ownership only changes in the
+           runner's own stages, so it holds across the instruction; the
+           window test is needed only when the GIL is not held *)
         let pre_fp = th.fp and pre_sp = th.sp and pre_pc = th.pc and pre_code = th.code in
+        let held = Gil.held_by t.gil th in
         let in_txn_before =
-          Htm.in_txn vm.Rvm.Vm.htm th.ctx
-          || (match t.stm with
-             | Some s -> Stm.in_txn s th.ctx
-             | None -> false)
+          (not held)
+          && (Htm.in_txn vm.Rvm.Vm.htm th.ctx
+             || match t.stm with Some s -> Stm.in_txn s th.ctx | None -> false)
         in
         (try
            let r = Rvm.Interp.step vm th in
@@ -1468,13 +1474,13 @@ let step_thread t (th : V.t) =
            and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
            Htm.reset_step_cost vm.Rvm.Vm.htm;
            let cost =
-             Rvm.Bytecode.base_cost (costs t) insn
+             Array.unsafe_get t.cost_tbl (info lsr Rvm.Bytecode.info_cost_shift)
              + (accesses * (costs t).cyc_mem)
              + extra
            in
            th.clock <- th.clock + cost;
            th.work <- th.work + 1;
-           if Gil.held_by t.gil th then begin
+           if held then begin
              th.cyc_gil_held <- th.cyc_gil_held + cost;
              t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + cost
            end
@@ -1508,8 +1514,8 @@ let step_thread t (th : V.t) =
             th.pc <- pre_pc;
             th.code <- pre_code;
             on_block t th reason);
-        drain_wakes t th;
-        drain_spawned t
+        if vm.Rvm.Vm.pending_wakes != [] then drain_wakes t th;
+        if vm.Rvm.Vm.spawned != [] then drain_spawned t
       end
     end
   end
@@ -1528,386 +1534,6 @@ let deliver_io t (th : V.t) =
       | _ -> ())
   | _ -> ()
 
-(* [step_thread] for the threaded interpreter tier. The same four-stage
-   protocol, driven by the pre-decoded form ([Rvm.Compiler.decode], cached
-   per VM), plus superblock execution: at a peephole-fused head, up to
-   [Dcode.fuse] straight-line components run inside this one call without
-   re-entering the scheduler's per-instruction preamble. Every component
-   still performs the complete per-instruction protocol — io delivery,
-   yield point, cost and breakdown attribution, wake/spawn draining, and
-   the run-ahead boundary checks — and the executor bails out of the
-   superblock the moment control leaves the straight line (branch taken,
-   send entered a method, abort rollback, block, window left, scheduler
-   overtake), so fusing elides host-side dispatch only: the interleaving,
-   stats, and figures are byte-identical to the reference tier. Between
-   components stages 1-2 are skipped only when they are provably no-ops:
-   the continuation check re-tests the window flag and both engines'
-   pending-abort slots, so any abort — synchronous [Abort_now], a window
-   rolled back across a backward jump (whose restored pc can land exactly
-   on the straight-line successor), or a failed software commit that
-   records its abort without raising — ends the superblock and hands the
-   thread back to the retry policy.
-
-   Subtlety inherited from [step_thread]: the yield decision and the
-   charged base cost come from the instruction at the pre-yield pc even if
-   a failed software commit inside [transaction_yield] rolled the
-   registers back to an older pc — so the cost class is latched before
-   stage 3 and the decoded form is refetched after it.
-
-   Returns the number of component steps attempted, for slice accounting. *)
-let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
-  let vm = t.vm in
-  let scheme = t.cfg.scheme in
-  if th.tid <> t.last_tid then begin
-    (* guarded here, not in [emit]: building the event allocates *)
-    if t.last_tid >= 0 && Option.is_some t.tracer then
-      emit t th (Obs.Event.Ctx_switch { prev_tid = t.last_tid });
-    t.last_tid <- th.tid
-  end;
-  (* 1. outstanding abort to handle? *)
-  if Scheme.uses_htm scheme && Htm.pending_abort vm.Rvm.Vm.htm th.ctx <> None
-  then handle_abort t th
-  else if
-    Scheme.uses_stm scheme
-    && (match t.stm with
-       | Some s -> Stm.pending_abort s th.ctx <> None
-       | None -> false)
-  then handle_stm_abort t th;
-  if th.status <> V.Runnable then 0
-  else begin
-    (* 2. enter a window if outside one *)
-    (if t.outside.(th.tid) then
-       match scheme with
-       | Scheme.Gil_only -> ignore (gil_enter t th)
-       | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-       | Scheme.Stm_only ->
-           if t.resume_gil.(th.tid) then begin
-             if gil_enter t th then begin
-               t.resume_gil.(th.tid) <- false;
-               t.skip_yield.(th.tid) <- true
-             end
-           end
-           else ignore (window_begin t th)
-       | Scheme.Fine_grained | Scheme.Free_parallel ->
-           t.outside.(th.tid) <- false);
-    if th.status <> V.Runnable then 0
-    else begin
-      let d = ref (Rvm.Vm.dcode vm th.code) in
-      let steps = ref 0 in
-      let head = th.pc in
-      let fuse0 = Array.unsafe_get (!d).Rvm.Compiler.Dcode.fuse head in
-      (* components left in the current superblock, counting this one *)
-      let budget = ref (Int.max 1 fuse0) in
-      (* Tier 3: when this pc heads a superblock, look up its compiled
-         entry (guarded by physical identity of the code, like the dcode
-         cache); on a miss, bump the head's profile counter and compile
-         once it crosses the threshold. Profiling and compilation are pure
-         host-side work — no simulated access happens before stage 3. *)
-      let entry =
-        if compiled && fuse0 >= 2 then begin
-          let e = Rvm.Vm.jit_entry vm th.code head in
-          if e.Rvm.Compiler.Jit.e_src == th.code then e
-          else if Rvm.Vm.jit_hot vm !d head >= Rvm.Compiler.jit_threshold
-          then begin
-            let e = Rvm.Interp.compile_block vm !d ~head in
-            Rvm.Vm.jit_store vm e;
-            e
-          end
-          else Rvm.Compiler.jit_dummy
-        end
-        else Rvm.Compiler.jit_dummy
-      in
-      let e_head = entry.Rvm.Compiler.Jit.e_head in
-      let e_len = entry.Rvm.Compiler.Jit.e_len in
-      let e_comps = entry.Rvm.Compiler.Jit.e_comps in
-      let e_src = entry.Rvm.Compiler.Jit.e_src in
-      let have_entry = e_head >= 0 in
-      (* Loop-invariant bindings for the fast window below. [fw_yield] is
-         the byte table stage 3 would consult ([fw_stage3] false means
-         stage 3 is a no-op for this scheme and the table is never read);
-         both are derived from the entry's own code, so they stay valid
-         whenever the window's [th.code == e_src] guard holds. *)
-      let fw_stage3 =
-        match scheme with
-        | Scheme.Fine_grained | Scheme.Free_parallel -> false
-        | _ -> true
-      in
-      let fw_yield =
-        match scheme with
-        | Scheme.Gil_only -> (!d).Rvm.Compiler.Dcode.yield_orig
-        | _ -> (
-            match t.cfg.yield_points with
-            | Yield_points.Original -> (!d).Rvm.Compiler.Dcode.yield_orig
-            | Yield_points.Extended -> (!d).Rvm.Compiler.Dcode.yield_ext)
-      in
-      let fw_skip =
-        (* schemes whose stage 3 consumes the skip-yield flag *)
-        match scheme with
-        | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-        | Scheme.Stm_only -> true
-        | Scheme.Gil_only | Scheme.Fine_grained | Scheme.Free_parallel ->
-            false
-      in
-      let fw_cost = (!d).Rvm.Compiler.Dcode.cost in
-      let uses_htm = Scheme.uses_htm scheme
-      and uses_stm = Scheme.uses_stm scheme in
-      let horizon = t.horizon in
-      let max_insns = t.cfg.max_insns in
-      let cyc_mem = (costs t).cyc_mem in
-      let hot_acct = t.cfg.hot in
-      let continue_ = ref true in
-      while !continue_ do
-        (* ---- tier-3 fast window ----------------------------------------
-           Run consecutive compiled, yield-free components in a stripped
-           loop. Between yield points nothing can move this thread in or
-           out of a transaction or the GIL except the component itself
-           aborting or blocking — both leave through an exception handler —
-           so [Gil.held_by] and the in-transaction test are hoisted to the
-           window entry. Every observable effect (the simulated access
-           sequence, per-component cost and clock accounting, wake/spawn
-           draining, every bail decision the generic body makes, IO
-           delivery) is replayed per component exactly as below; only
-           host-side bookkeeping that provably cannot change inside the
-           window is elided. *)
-        (if have_entry && th.code == e_src then begin
-           let p0 = th.pc - e_head in
-           if
-             p0 >= 0 && p0 < e_len
-             && not
-                  (fw_stage3 && Bytes.unsafe_get fw_yield th.pc = '\001')
-             && not (fw_skip && t.skip_yield.(th.tid))
-           then begin
-             let fw_held = Gil.held_by t.gil th in
-             let fw_in_txn =
-               Htm.in_txn vm.Rvm.Vm.htm th.ctx
-               || (match t.stm with
-                  | Some s -> Stm.in_txn s th.ctx
-                  | None -> false)
-             in
-             let fast = ref true in
-             while !fast do
-               let cpc = th.pc in
-               incr steps;
-               let cost_class = Array.unsafe_get fw_cost cpc in
-               let pre_fp = th.fp and pre_sp = th.sp
-               and pre_pc = th.pc and pre_code = th.code in
-               (try
-                  let r = (Array.unsafe_get e_comps (cpc - e_head)) th in
-                  let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
-                  and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
-                  Htm.reset_step_cost vm.Rvm.Vm.htm;
-                  let cost =
-                    Array.unsafe_get t.cost_tbl cost_class
-                    + (accesses * cyc_mem) + extra
-                  in
-                  th.clock <- th.clock + cost;
-                  t.fw_b_insns <- t.fw_b_insns + 1;
-                  if fw_held then t.fw_b_held <- t.fw_b_held + cost
-                  else if not fw_in_txn then
-                    t.fw_b_other <- t.fw_b_other + cost;
-                  if not hot_acct then flush_fw_acct t th;
-                  if r <> 0 then begin
-                    flush_fw_acct t th;
-                    let closed = window_close_for_retire t th in
-                    if closed then on_thread_done t th
-                    else th.status <- V.Runnable
-                  end
-                with
-               | Htm.Abort_now _ -> Htm.reset_step_cost vm.Rvm.Vm.htm
-               | V.Block reason ->
-                   Htm.reset_step_cost vm.Rvm.Vm.htm;
-                   th.fp <- pre_fp;
-                   th.sp <- pre_sp;
-                   th.pc <- pre_pc;
-                   th.code <- pre_code;
-                   on_block t th reason);
-               if vm.Rvm.Vm.pending_wakes != [] then drain_wakes t th;
-               if vm.Rvm.Vm.spawned != [] then drain_spawned t;
-               decr budget;
-               if
-                 !budget <= 0
-                 || th.status <> V.Runnable
-                 || th.ctx < 0
-                 || t.outside.(th.tid)
-                 || th.code != e_src
-                 || th.pc <> cpc + 1
-                 || (uses_htm
-                    && Htm.pending_abort vm.Rvm.Vm.htm th.ctx <> None)
-                 || (uses_stm
-                    &&
-                    match t.stm with
-                    | Some s -> Stm.pending_abort s th.ctx <> None
-                    | None -> false)
-                 || main.V.status = V.Finished
-                 || t.total_insns + t.fw_b_insns >= max_insns
-                 || th.clock > horizon
-                 || stop ()
-               then begin
-                 fast := false;
-                 continue_ := false
-               end
-               else begin
-                 if Sched.min_precedes t.sched ~key:th.clock ~tid:th.tid
-                 then begin
-                   fast := false;
-                   continue_ := false
-                 end
-                 else begin
-                   deliver_io t th;
-                   (* next component still fast-eligible? *)
-                   let p = th.pc - e_head in
-                   if
-                     p >= e_len
-                     || (fw_stage3
-                        && Bytes.unsafe_get fw_yield th.pc = '\001')
-                     || (fw_skip && t.skip_yield.(th.tid))
-                   then fast := false
-                 end
-               end
-             done;
-             flush_fw_acct t th
-           end
-         end);
-        if !continue_ then begin
-        let dd = !d in
-        let cpc = th.pc in
-        incr steps;
-        (* 3. yield point (decided at the pre-yield pc) *)
-        (match scheme with
-        | Scheme.Gil_only ->
-            if Bytes.unsafe_get dd.yield_orig cpc = '\001' then
-              gil_yield_point t th
-        | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-        | Scheme.Stm_only -> (
-            if t.skip_yield.(th.tid) then t.skip_yield.(th.tid) <- false
-            else if
-              Bytes.unsafe_get
-                (match t.cfg.yield_points with
-                | Yield_points.Original -> dd.yield_orig
-                | Yield_points.Extended -> dd.yield_ext)
-                cpc
-              = '\001'
-            then
-              (* a software window's yield-counter read can fail validation:
-                 the rollback has already run, so just stop this step and let
-                 the retry policy pick the thread up again *)
-              try transaction_yield t th with Htm.Abort_now _ -> ())
-        | Scheme.Fine_grained | Scheme.Free_parallel -> ());
-        if th.status <> V.Runnable then continue_ := false
-        else begin
-          (* 4. execute one instruction; the rollback inside stage 3 may
-             have moved the registers, so refetch the decoded form *)
-          let cost_class = Array.unsafe_get dd.cost cpc in
-          let d4 =
-            if th.code == dd.Rvm.Compiler.Dcode.src then dd
-            else begin
-              let nd = Rvm.Vm.dcode vm th.code in
-              d := nd;
-              nd
-            end
-          in
-          let pre_fp = th.fp and pre_sp = th.sp
-          and pre_pc = th.pc and pre_code = th.code in
-          let in_txn_before =
-            Htm.in_txn vm.Rvm.Vm.htm th.ctx
-            || (match t.stm with
-               | Some s -> Stm.in_txn s th.ctx
-               | None -> false)
-          in
-          (try
-             (* compiled components only run while the registers sit
-                exactly on the entry's straight line in its own code;
-                anywhere else — stage-3 rollback moved the pc, a call
-                switched the method — this component deoptimizes to
-                [step_d], which re-derives everything from the live
-                registers. Both paths execute the identical simulated
-                access sequence. *)
-             let r =
-               let p = th.pc - e_head in
-               if
-                 have_entry && th.code == e_src && p >= 0 && p < e_len
-               then (Array.unsafe_get e_comps p) th
-               else begin
-                 if have_entry then Obs.Metrics.incr t.m_deopt_rollback;
-                 match Rvm.Interp.step_d vm th d4 with
-                 | Rvm.Interp.Continue -> 0
-                 | Rvm.Interp.Done _ -> 1
-               end
-             in
-             let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
-             and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
-             Htm.reset_step_cost vm.Rvm.Vm.htm;
-             let cost =
-               Array.unsafe_get t.cost_tbl cost_class
-               + (accesses * (costs t).cyc_mem)
-               + extra
-             in
-             th.clock <- th.clock + cost;
-             th.work <- th.work + 1;
-             if Gil.held_by t.gil th then begin
-               th.cyc_gil_held <- th.cyc_gil_held + cost;
-               t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + cost
-             end
-             else if not in_txn_before then
-               t.breakdown.bd_other <- t.breakdown.bd_other + cost;
-             t.total_insns <- t.total_insns + 1;
-             if r <> 0 then begin
-               let closed = window_close_for_retire t th in
-               if closed then on_thread_done t th
-               else th.status <- V.Runnable
-             end
-           with
-          | Htm.Abort_now _ -> Htm.reset_step_cost vm.Rvm.Vm.htm
-          | V.Block reason ->
-              Htm.reset_step_cost vm.Rvm.Vm.htm;
-              th.fp <- pre_fp;
-              th.sp <- pre_sp;
-              th.pc <- pre_pc;
-              th.code <- pre_code;
-              on_block t th reason);
-          drain_wakes t th;
-          drain_spawned t;
-          (* superblock continuation: next component only while execution
-             stayed on the straight line and stage 1 would be a no-op. The
-             pending-abort checks cannot be folded into the pc check: a
-             window spanning a backward jump can roll back to exactly
-             [cpc + 1], and a failed software commit records its abort
-             without moving control at all — either way the retry policy
-             (stage 1) must run before another instruction executes *)
-          if !continue_ then begin
-            decr budget;
-            if
-              !budget <= 0
-              || th.status <> V.Runnable
-              || th.ctx < 0
-              || t.outside.(th.tid)
-              || th.code != (!d).Rvm.Compiler.Dcode.src
-              || th.pc <> cpc + 1
-              || (Scheme.uses_htm scheme
-                 && Htm.pending_abort vm.Rvm.Vm.htm th.ctx <> None)
-              || (Scheme.uses_stm scheme
-                 &&
-                 match t.stm with
-                 | Some s -> Stm.pending_abort s th.ctx <> None
-                 | None -> false)
-              || main.V.status = V.Finished
-              || t.total_insns >= t.cfg.max_insns
-              || th.clock > t.horizon
-              || stop ()
-            then continue_ := false
-            else begin
-              if Sched.min_precedes t.sched ~key:th.clock ~tid:th.tid then
-                continue_ := false
-              else deliver_io t th
-            end
-          end
-        end
-        end
-      done;
-      !steps
-    end
-  end
-
 (* A run-ahead slice: [th] was picked as the (clock, tid)-minimal runnable
    thread; execute its instructions in a tight loop until its key passes
    the heap's smallest (a newly-woken or spawned thread included — every
@@ -1920,18 +1546,12 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
 let run_slice t ~stop (main : V.t) (th : V.t) =
   t.running_tid <- th.tid;
   Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
-  let compiled = t.cfg.interp = Interp_compiled in
-  let threaded = compiled || t.cfg.interp = Interp_threaded in
   let slice = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     deliver_io t th;
-    if threaded then
-      slice := !slice + Int.max 1 (step_thread_d t ~compiled ~stop main th)
-    else begin
-      step_thread t th;
-      incr slice
-    end;
+    step_thread t th;
+    incr slice;
     if
       main.V.status = V.Finished
       || th.status <> V.Runnable || th.ctx < 0
@@ -1994,15 +1614,14 @@ let snapshot t =
     request_throughput = (match t.io with Some io -> Netsim.throughput io | None -> 0.0);
     metrics = vm.Rvm.Vm.metrics;
     abort_sites = t.sites;
-    jit_profile = Rvm.Vm.jit_profile vm;
     trace = t.tracer;
   }
 
 (* Run events up to the virtual-time horizon [until]: every step whose
-   start clock is <= [until] executes (steps and fused superinstructions
-   are atomic, so the clock may overshoot by one step's cost — callers that
-   compare state across shards at a horizon must read virtual-time-stamped
-   accessors, not raw counters). Pausing and resuming never changes the
+   start clock is <= [until] executes (steps are atomic, so the clock may
+   overshoot by one step's cost — callers that compare state across shards
+   at a horizon must read virtual-time-stamped accessors, not raw
+   counters). Pausing and resuming never changes the
    executed instruction sequence — scheduling stays (clock, tid)-minimal —
    so a horizon-stepped run is bit-identical to an unbounded one. *)
 let advance ?(stop = fun () -> false) t ~until =
@@ -2084,19 +1703,10 @@ let advance ?(stop = fun () -> false) t ~until =
                Sched.remove t.sched th.tid;
                Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
                deliver_io t th;
-               let n =
-                 match t.cfg.interp with
-                 | Interp_compiled ->
-                     Int.max 1 (step_thread_d t ~compiled:true ~stop main th)
-                 | Interp_threaded ->
-                     Int.max 1 (step_thread_d t ~compiled:false ~stop main th)
-                 | Interp_ref ->
-                     step_thread t th;
-                     1
-               in
+               step_thread t th;
                t.running_tid <- -1;
                sched_sync t th;
-               Obs.Metrics.observe t.m_slice_insns n
+               Obs.Metrics.observe t.m_slice_insns 1
            | None ->
                if not (advance_time t ~until) then begin
                  paused := true;

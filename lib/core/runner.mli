@@ -20,32 +20,6 @@ val default_sched_kind : unit -> sched_kind
 (** [Sched_heap], unless the [BENCH_SCHED] environment variable is set to
     ["ref"]/["REF"]/["scan"]. *)
 
-type interp_kind =
-  | Interp_compiled
-      (** tier 3 (the default): the threaded tier plus hot superblocks
-          compiled into chained OCaml closures ([Interp.compile_block])
-          once their head's execution count crosses
-          [Compiler.jit_threshold]. Compiled components deoptimize back to
-          [Interp.step_d] whenever the registers leave the straight line
-          (window rollback, call/return — counted as [deopt.rollback]); a
-          compiled send whose inline-cache guard misses runs the generic
-          resolver and counts [deopt.guard]; [Defmethod]/[Defclass] flush
-          every compiled entry ([deopt.invalidate]). Simulated semantics —
-          access sequence, yield placement, txlen, abort attribution —
-          identical to [Interp_threaded], host wall time lower *)
-  | Interp_threaded
-      (** pre-decoded threaded dispatch with superinstruction fusion and
-          specialized monomorphic send paths; simulated semantics identical
-          to [Interp_ref], host wall time much lower *)
-  | Interp_ref
-      (** the original switch-style loop over the tagged bytecode variants,
-          retained as the executable specification the other tiers are
-          differentially tested against *)
-
-val default_interp_kind : unit -> interp_kind
-(** [Interp_compiled], unless the [BENCH_INTERP] environment variable is
-    set to ["ref"]/["REF"]/["switch"] or ["threaded"]/["THREADED"]. *)
-
 type config = {
   machine : Htm_sim.Machine.t;
   scheme : Scheme.kind;
@@ -57,7 +31,6 @@ type config = {
       (** event-trace sink shared by the runner, the GIL and the heap; [None]
           (the default) keeps every instrumentation site at one branch *)
   sched : sched_kind;
-  interp : interp_kind;
   clock : Tm_clock.scheme;
       (** global commit-clock scheme the STM publishes under; defaults to
           [Tm_clock.default_scheme ()] (GV1 unless [BENCH_CLOCK] says
@@ -73,8 +46,8 @@ type config = {
           otherwise). *)
   hot : bool;
       (** in-transaction access fast paths: the engine's per-context line
-          memos (plus undo-log write coalescing), the STM read memo, and
-          the superblock executor's batched cost accounting. Defaults to
+          memos (plus undo-log write coalescing) and the STM read memo.
+          Defaults to
           [Htm.default_hot ()] ([true] unless [BENCH_HOT=off]). Both
           settings replay every observable decision byte-identically; the
           off setting keeps the un-memoized baseline selectable for
@@ -89,7 +62,6 @@ val config :
   ?max_insns:int ->
   ?tracer:Obs.Trace.t ->
   ?sched:sched_kind ->
-  ?interp:interp_kind ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
   ?hot:bool ->
@@ -124,10 +96,6 @@ type result = {
       (** the VM's registry: interpreter counters, GC pause / txn / GIL-wait
           histograms added by the runner *)
   abort_sites : Obs.Sites.t;  (** abort-site attribution for this run *)
-  jit_profile : (int * int * int * bool) list;
-      (** hot superblock heads as [(uid, pc, count, compiled)], most-executed
-          first — empty unless the compiled tier ran (see
-          {!Rvm.Vm.jit_profile}) *)
   trace : Obs.Trace.t option;  (** the sink passed in the config, if any *)
 }
 
@@ -136,6 +104,13 @@ exception Stuck of string
 
 exception Guest_failure of string
 (** A guest-level error, with the guest's output appended. *)
+
+(** What stages 2 and 3 of a step do, resolved from the scheme at
+    {!create}. *)
+type stage =
+  | Stage_gil  (** GIL-only: take the GIL, timer-yield at original points *)
+  | Stage_tle  (** the TLE family: windows and length-counted yields *)
+  | Stage_free  (** fine-grained / free-parallel: neither *)
 
 type t = {
   cfg : config;
@@ -161,21 +136,23 @@ type t = {
       (** (Hybrid) this thread's next windows run as software transactions *)
   mutable tle : tle_state array;
   mutable park_clock : int array;
+  hw_rollback : (Htm_sim.Txn.abort_reason -> unit) array;
+  sw_rollback : (Htm_sim.Txn.abort_reason -> unit) array;
+      (** per hardware context: the holder's rollback closures, built at
+          the context grant and dropped at its release *)
   cost_tbl : int array;
-      (** base cycles per [Rvm.Compiler.Dcode] cost class — the threaded
-          tier's table form of [Rvm.Bytecode.base_cost] *)
+      (** base cycles per cost class ([Rvm.Bytecode.cost_table]) *)
+  uses_htm : bool;
+  uses_stm : bool;
+  stage : stage;
+  yield_bit : int;
+      (** the [Rvm.Value.code.info] bit marking this run's yield points *)
   mutex_waiters : (int, Rvm.Vmthread.t Queue.t) Hashtbl.t;
   cond_waiters : (int, (Rvm.Vmthread.t * int) Queue.t) Hashtbl.t;
   join_waiters : (int, Rvm.Vmthread.t list) Hashtbl.t;
   sleepq : Sched.t;  (** sleeping / io-waiting threads, keyed by wake cycle *)
   accept_waiters : Rvm.Vmthread.t Queue.t;
   mutable total_insns : int;
-  mutable fw_b_insns : int;
-      (** pending batched accounting from the tier-3 fast window (BENCH_HOT):
-          retired instructions not yet added to [total_insns]/[th.work];
-          zero outside a fast window *)
-  mutable fw_b_held : int;  (** GIL-held cycles pending flush *)
-  mutable fw_b_other : int;  (** non-GIL non-txn cycles pending flush *)
   prng : Htm_sim.Prng.t;
   breakdown : breakdown;
   mutable stop : unit -> bool;
@@ -205,9 +182,6 @@ type t = {
       (** clock-cell writes avoided (mirrors [Tm_clock.skipped]) *)
   m_clock_switches : Obs.Metrics.counter;
       (** GV6 regime switches (mirrors [Tm_clock.switches]) *)
-  m_deopt_rollback : Obs.Metrics.counter;
-      (** compiled-tier components re-routed through [Interp.step_d]
-          because the registers left the superblock *)
   m_slice_insns : Obs.Metrics.histogram;
       (** instructions executed per run-ahead slice *)
   g_runnable_peak : Obs.Metrics.gauge;

@@ -10,3 +10,6 @@ val to_string : set -> string
 val original_point : Rvm.Value.insn -> bool
 val extended_point : Rvm.Value.insn -> bool
 val is_yield_point : set -> Rvm.Value.insn -> bool
+
+val info_bit : set -> int
+(** The set's bit in a code's per-pc table ([Rvm.Value.code.info]). *)

@@ -737,7 +737,7 @@ let print_shard_panel fmt panel ~schemes =
 
 (* Deterministic JSON for the "shard" member: plain data, fixed field
    order, merged in shard order — the FNV digest over this is the
-   placement/tier acceptance gate. *)
+   placement/scheduler acceptance gate. *)
 let shard_json panel =
   let module J = Obs.Json in
   let slice_json (s : Shard.shard_slice) =

@@ -125,7 +125,7 @@ val print_load_panel :
 
 val load_json : load_panel -> Obs.Json.t
 (** Deterministic JSON for one panel — the member bench digests (FNV-1a)
-    and the tier-stability tests compare. *)
+    and the scheduler-stability tests compare. *)
 
 val fig_load : ?size:Workloads.Size.t -> Format.formatter -> load_panel list
 (** Throughput vs offered load with p50/p95/p99 request latency per scheme:
@@ -179,7 +179,7 @@ val print_shard_panel :
 
 val shard_json : shard_panel -> Obs.Json.t
 (** Deterministic JSON for one panel — the member the bench digests
-    (FNV-1a) and the placement/tier CI legs compare. *)
+    (FNV-1a) and the placement/scheduler CI legs compare. *)
 
 val fig_shard : ?size:Workloads.Size.t -> Format.formatter -> shard_panel list
 (** Aggregate served req/s and p50/p95/p99 latency vs shard count x

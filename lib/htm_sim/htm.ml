@@ -120,7 +120,7 @@ type 'a t = {
 
 (* BENCH_HOT=off flips the process-wide default so the smoke script and CI
    can regenerate every figure with the memoized fast paths disabled,
-   mirroring the BENCH_SCHED/BENCH_INTERP pattern. *)
+   mirroring the BENCH_SCHED pattern. *)
 let default_hot () =
   match Sys.getenv_opt "BENCH_HOT" with
   | Some ("off" | "OFF" | "0" | "no") -> false
@@ -145,7 +145,17 @@ let grow_line_tables t cap_cells =
     t.n_lines <- n
   end
 
+(* [readers] and [sw_mask] are [int] bitsets indexed by context, so a
+   machine may not have more contexts than an int has value bits. *)
+let max_ctx = Sys.int_size - 1
+
 let create ?(mode = Htm_mode) ?(seed = 42) machine store =
+  if Machine.n_ctx machine > max_ctx then
+    invalid_arg
+      (Printf.sprintf
+         "Htm.create: machine %s has %d hardware contexts; at most %d fit \
+          the engine's int bitsets"
+         machine.Machine.name (Machine.n_ctx machine) max_ctx);
   let n = Int.max 1 (Machine.n_ctx machine) in
   let t =
     {
@@ -282,9 +292,8 @@ let peek t addr =
 
 (* Footprint of the context's transaction. rs/ws are reset only at the next
    tbegin, so this is still valid inside the rollback closure of an abort. *)
-let txn_footprint t ctx =
-  let txn = t.txns.(ctx) in
-  (txn.Txn.rs, txn.Txn.ws)
+let footprint_rs t ctx = t.txns.(ctx).Txn.rs
+let footprint_ws t ctx = t.txns.(ctx).Txn.ws
 
 let drain_step_cost t =
   let c = t.step_extra_cycles and a = t.step_accesses in

@@ -22,14 +22,19 @@ type mode =
 
 type 'a t
 
+val max_ctx : int
+(** Most hardware contexts an engine supports: [Sys.int_size - 1] (62 on a
+    64-bit host), the width of its per-line reader bitsets. *)
+
 val create : ?mode:mode -> ?seed:int -> Machine.t -> 'a Store.t -> 'a t
 (** The engine starts with the in-transaction fast paths set from
-    {!default_hot}. *)
+    {!default_hot}.
+    @raise Invalid_argument if [Machine.n_ctx machine > max_ctx]. *)
 
 val default_hot : unit -> bool
 (** Process-wide default for the in-transaction fast paths: [false] when
     [BENCH_HOT] is [off]/[OFF]/[0]/[no], [true] otherwise. Mirrors the
-    [BENCH_SCHED]/[BENCH_INTERP] knob pattern. *)
+    [BENCH_SCHED] knob pattern. *)
 
 val hot : 'a t -> bool
 
@@ -67,10 +72,12 @@ val abort_line : 'a t -> int -> int
     predictor aborts). Valid inside the rollback closure and until the next
     {!tbegin} on that context. *)
 
-val txn_footprint : 'a t -> int -> int * int
-(** [(read_set, write_set)] sizes, in distinct lines, of the context's
+val footprint_rs : 'a t -> int -> int
+val footprint_ws : 'a t -> int -> int
+(** Read-set and write-set sizes, in distinct lines, of the context's
     current or just-aborted transaction (rs/ws reset only at {!tbegin}, so
-    the rollback closure can attribute footprints to abort events). *)
+    the rollback closure can attribute footprints to abort events). Two
+    accessors rather than a pair, so a commit allocates nothing. *)
 
 val drain_step_cost : 'a t -> int * int
 (** [(extra_cycles, accesses)] accrued since the last drain; the runner

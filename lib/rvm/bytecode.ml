@@ -1,5 +1,5 @@
-(* Helpers over compiled code: printing and per-instruction cost
-   classification. *)
+(* Helpers over compiled code: printing, per-instruction cost
+   classification and the yield-point sets. *)
 
 open Value
 
@@ -109,3 +109,52 @@ let base_cost (costs : Htm_sim.Machine.costs) = function
       costs.cyc_insn + costs.cyc_alloc
   | Defclass _ | Defmethod _ -> 4 * costs.cyc_insn
   | _ -> costs.cyc_insn
+
+(* Cost classes: [base_cost] as a small int, so the runner charges an
+   instruction with one load from a per-machine table. *)
+let cost_class = function
+  | Send _ | Invokeblock _ | Newinstance _ -> 1
+  | Newthread _ -> 2
+  | Newarray _ | Newarray_sized | Newhash _ | Newstring _ | Newrange _ -> 3
+  | Defclass _ | Defmethod _ -> 4
+  | _ -> 0
+
+let n_cost_classes = 5
+
+let cost_table (c : Htm_sim.Machine.costs) =
+  [|
+    c.cyc_insn;
+    c.cyc_insn + c.cyc_send;
+    c.cyc_insn + (10 * c.cyc_send);
+    c.cyc_insn + c.cyc_alloc;
+    4 * c.cyc_insn;
+  |]
+
+(* Yield-point sets (Sections 3.2 and 4.2). Original CRuby yields at loop
+   back-edges and method/block exits; the paper adds getlocal,
+   getinstancevariable, getclassvariable, send and the
+   opt_plus/minus/mult/aref bytecodes, because the original points are too
+   coarse for the HTM footprint. *)
+let yields_original = function
+  | Jump _ | Branchif _ | Branchunless _ -> true (* loop back-edges *)
+  | Leave | Return_insn | Break_insn -> true (* method/block exits *)
+  | _ -> false
+
+let yields_extended insn =
+  match insn with
+  | Getlocal _ | Getivar _ | Getcvar _ -> true
+  | Send _ | Newinstance _ | Invokeblock _ -> true
+  | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
+  | _ -> yields_original insn
+
+let info_original = 1
+let info_extended = 2
+let info_cost_shift = 2
+
+let code_info insns =
+  Bytes.init (Array.length insns) (fun pc ->
+      let i = insns.(pc) in
+      Char.unsafe_chr
+        ((if yields_original i then info_original else 0)
+        lor (if yields_extended i then info_extended else 0)
+        lor (cost_class i lsl info_cost_shift)))

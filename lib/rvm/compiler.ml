@@ -69,6 +69,19 @@ let fresh_cache e =
 
 (* Locals -------------------------------------------------------------- *)
 
+(* Every code record is built here, so its per-pc table is computed once,
+   at compile time, and never on the step path. *)
+let make_code ~name ~kind ~arity ~nlocals insns =
+  {
+    code_name = name;
+    uid = Value.fresh_code_uid ();
+    kind;
+    arity;
+    nlocals;
+    insns;
+    info = Bytecode.code_info insns;
+  }
+
 let rec lookup_local scope name depth =
   match Hashtbl.find_opt scope.locals name with
   | Some idx -> Some (idx, depth)
@@ -237,14 +250,8 @@ and compile_block e (b : Ast.block) : code =
   List.iter (fun p -> ignore (declare_local be.scope p)) b.blk_params;
   compile_body_value be b.blk_body;
   emit be Leave;
-  {
-    code_name = "block";
-    uid = Value.fresh_code_uid ();
-    kind = Block;
-    arity = List.length b.blk_params;
-    nlocals = be.scope.n_locals;
-    insns = Array.sub be.insns 0 be.count;
-  }
+  make_code ~name:"block" ~kind:Block ~arity:(List.length b.blk_params)
+    ~nlocals:be.scope.n_locals (Array.sub be.insns 0 be.count)
 
 and compile_asgn e lhs rhs =
   match lhs with
@@ -503,14 +510,8 @@ and compile_method e name params body =
   List.iter (fun p -> ignore (declare_local me.scope p)) params;
   compile_body_value me body;
   emit me Leave;
-  {
-    code_name = name;
-    uid = Value.fresh_code_uid ();
-    kind = Method;
-    arity = List.length params;
-    nlocals = me.scope.n_locals;
-    insns = Array.sub me.insns 0 me.count;
-  }
+  make_code ~name ~kind:Method ~arity:(List.length params)
+    ~nlocals:me.scope.n_locals (Array.sub me.insns 0 me.count)
 
 let compile_program (prog : Ast.t) : program =
   let caches = ref 0 in
@@ -518,375 +519,9 @@ let compile_program (prog : Ast.t) : program =
   compile_body_value e prog;
   emit e Leave;
   let main =
-    {
-      code_name = "<main>";
-      uid = Value.fresh_code_uid ();
-      kind = Toplevel;
-      arity = 0;
-      nlocals = e.scope.n_locals;
-      insns = Array.sub e.insns 0 e.count;
-    }
+    make_code ~name:"<main>" ~kind:Toplevel ~arity:0 ~nlocals:e.scope.n_locals
+      (Array.sub e.insns 0 e.count)
   in
   { main; n_caches = !caches }
 
 let compile_string src = compile_program (Parser.parse src)
-
-(* ---- bytecode pre-decode: the threaded-interpreter translation pass ----
-
-   [Dcode.t] is a flat, pc-parallel re-encoding of a [Value.code]: the
-   tagged [insn] variants are unrolled once into dense int arrays (opcode
-   id + two int operands, with literal values / send sites in parallel aux
-   arrays), so the hot interpreter loop dispatches on an int and never
-   re-matches operand shapes or allocates per step. The pass also
-   precomputes, per pc, the data the runner consults between instructions
-   — the cost class of [Bytecode.base_cost] and both yield-point sets —
-   and runs a peephole fuser that marks straight-line superinstruction
-   runs (see [scan_fuse]). pcs are never renumbered: every array indexes
-   by the ORIGINAL pc, so abort attribution, txlen tables and Obs sites
-   are byte-identical under either interpreter, jumps may land in the
-   middle of a fused run, and execution can resume at any component pc. *)
-
-module Dcode = struct
-  (* Opcode ids. [op_generic] (0) routes to the reference [Interp.step]
-     for the rare instructions not worth a threaded handler; everything
-     else has a dedicated case in [Interp.step_d] dispatching on the
-     literal id (keep the two in sync — the differential interp tests and
-     [test_compiler]'s decode checks pin the mapping). *)
-  let op_generic = 0
-  let op_nop = 1
-  let op_push = 2
-  let op_pushself = 3
-  let op_pop = 4
-  let op_dup = 5
-  let op_dup2 = 6
-  let op_getlocal0 = 7 (* depth 0: opa = index *)
-  let op_getlocal = 8 (* opa = index, opb = depth *)
-  let op_setlocal0 = 9
-  let op_setlocal = 10
-  let op_getivar = 11 (* opa = symbol, opb = cache slot *)
-  let op_setivar = 12
-  let op_getcvar = 13 (* opa = symbol *)
-  let op_setcvar = 14
-  let op_getglobal = 15
-  let op_setglobal = 16
-  let op_getconst = 17
-  let op_setconst = 18
-  let op_jump = 19 (* opa = target *)
-  let op_branchif = 20
-  let op_branchunless = 21
-  let op_leave = 22
-  let op_opt_plus = 23
-  let op_opt_minus = 24
-  let op_opt_mult = 25
-  let op_opt_div = 26
-  let op_opt_mod = 27
-  let op_opt_pow = 28
-  let op_opt_eq = 29
-  let op_opt_neq = 30
-  let op_opt_lt = 31
-  let op_opt_le = 32
-  let op_opt_gt = 33
-  let op_opt_ge = 34
-  let op_opt_aref = 35
-  let op_opt_aset = 36
-  let op_opt_ltlt = 37
-  let op_opt_not = 38
-  let op_opt_neg = 39
-  let op_send = 40 (* sites.(pc) *)
-
-  (* Cost classes mirroring [Bytecode.base_cost]; the runner turns them
-     into cycles through a 5-entry table built from its machine's costs. *)
-  let cost_plain = 0
-  let cost_send = 1 (* cyc_insn + cyc_send *)
-  let cost_thread = 2 (* cyc_insn + 10 * cyc_send *)
-  let cost_alloc = 3 (* cyc_insn + cyc_alloc *)
-  let cost_def = 4 (* 4 * cyc_insn *)
-  let n_cost_classes = 5
-
-  (* Named peephole patterns (for introspection and tests; the executor
-     treats every fused run the same way). *)
-  let fuse_none = 0
-  let fuse_local_arith = 1 (* getlocal; getlocal; opt_plus; setlocal *)
-  let fuse_cmp_branch = 2 (* getlocal; putobject; opt_lt; branchunless *)
-  let fuse_ivar_aref = 3 (* getinstancevariable; opt_aref *)
-  let fuse_self_send = 4 (* putself; send (monomorphic fill-once cache) *)
-  let fuse_straight = 5 (* any other straight-line run of threaded ops *)
-
-  type t = {
-    src : Value.code;  (** physical-identity guard for the per-VM cache *)
-    ops : int array;
-    opa : int array;
-    opb : int array;
-    vals : Value.t array;  (** [Push] literal per pc, [VNil] elsewhere *)
-    sites : send_site array;  (** [Send] site per pc *)
-    cost : int array;  (** cost class per pc *)
-    yield_orig : Bytes.t;  (** '\001' where the original set yields *)
-    yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
-    fuse : int array;  (** component count at a superblock head, else 0 *)
-    fuse_kind : int array;  (** [fuse_*] pattern id at a head, else 0 *)
-  }
-end
-
-let dummy_site : send_site =
-  { ss_sym = -1; ss_argc = 0; ss_block = None; ss_cache = -1 }
-
-(* Opcode id of one instruction (generic for the rare/complex ones). *)
-let opcode_of : insn -> int =
-  let open Dcode in
-  function
-  | Nop -> op_nop
-  | Push _ -> op_push
-  | Pushself -> op_pushself
-  | Pop -> op_pop
-  | Dup -> op_dup
-  | Dup2 -> op_dup2
-  | Getlocal (_, 0) -> op_getlocal0
-  | Getlocal _ -> op_getlocal
-  | Setlocal (_, 0) -> op_setlocal0
-  | Setlocal _ -> op_setlocal
-  | Getivar _ -> op_getivar
-  | Setivar _ -> op_setivar
-  | Getcvar _ -> op_getcvar
-  | Setcvar _ -> op_setcvar
-  | Getglobal _ -> op_getglobal
-  | Setglobal _ -> op_setglobal
-  | Getconst _ -> op_getconst
-  | Setconst _ -> op_setconst
-  | Jump _ -> op_jump
-  | Branchif _ -> op_branchif
-  | Branchunless _ -> op_branchunless
-  | Leave -> op_leave
-  | Opt_plus -> op_opt_plus
-  | Opt_minus -> op_opt_minus
-  | Opt_mult -> op_opt_mult
-  | Opt_div -> op_opt_div
-  | Opt_mod -> op_opt_mod
-  | Opt_pow -> op_opt_pow
-  | Opt_eq -> op_opt_eq
-  | Opt_neq -> op_opt_neq
-  | Opt_lt -> op_opt_lt
-  | Opt_le -> op_opt_le
-  | Opt_gt -> op_opt_gt
-  | Opt_ge -> op_opt_ge
-  | Opt_aref -> op_opt_aref
-  | Opt_aset -> op_opt_aset
-  | Opt_ltlt -> op_opt_ltlt
-  | Opt_not -> op_opt_not
-  | Opt_neg -> op_opt_neg
-  | Send _ -> op_send
-  | Newarray _ | Newarray_sized | Newhash _ | Newrange _ | Newstring _
-  | Newinstance _ | Newthread _ | Invokeblock _ | Return_insn | Break_insn
-  | Defmethod _ | Defclass _ ->
-      op_generic
-
-let cost_class_of : insn -> int =
-  let open Dcode in
-  function
-  | Send _ | Invokeblock _ | Newinstance _ -> cost_send
-  | Newthread _ -> cost_thread
-  | Newarray _ | Newarray_sized | Newhash _ | Newstring _ | Newrange _ ->
-      cost_alloc
-  | Defclass _ | Defmethod _ -> cost_def
-  | _ -> cost_plain
-
-(* Yield-point classification, mirroring [Core.Yield_points] (which lives
-   above this library; the test suite pins the two against each other). *)
-let yields_original : insn -> bool = function
-  | Jump _ | Branchif _ | Branchunless _ -> true
-  | Leave | Return_insn | Break_insn -> true
-  | _ -> false
-
-let yields_extended (i : insn) =
-  match i with
-  | Getlocal _ | Getivar _ | Getcvar _ -> true
-  | Send _ | Newinstance _ | Invokeblock _ -> true
-  | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
-  | _ -> yields_original i
-
-(* The peephole fuser. A superblock is a maximal run (capped, >= 2) of
-   threaded (non-generic) instructions in which every component but the
-   last is straight-line: it advances pc by exactly one and stays in the
-   same frame on its fast path. Components keep their own pcs, costs and
-   yield flags — the executor replays the full per-instruction protocol
-   and bails out the moment control leaves the straight line (a branch, a
-   send entering a bytecode method, an abort, a block) — so fusing is
-   invisible to the simulated machine and only elides host-side dispatch.
-   Sends are allowed as interior components: a monomorphic send hitting a
-   primitive returns straight-line, and one entering a method simply ends
-   the superblock early at run time. *)
-let max_fuse_len = 16
-
-let straightline op =
-  let open Dcode in
-  op >= op_push && op <> op_jump && op <> op_branchif
-  && op <> op_branchunless && op <> op_leave
-
-let scan_fuse (insns : insn array) (ops : int array) fuse fuse_kind =
-  let n = Array.length ops in
-  let open Dcode in
-  let named pc len =
-    (* tag the runs the paper's hot loops produce, for introspection *)
-    if
-      len >= 4
-      && ops.(pc) = op_getlocal0
-      && ops.(pc + 1) = op_getlocal0
-      && ops.(pc + 2) = op_opt_plus
-      && ops.(pc + 3) = op_setlocal0
-    then fuse_local_arith
-    else if
-      len >= 4
-      && ops.(pc) = op_getlocal0
-      && ops.(pc + 1) = op_push
-      && (ops.(pc + 2) = op_opt_lt || ops.(pc + 2) = op_opt_le
-         || ops.(pc + 2) = op_opt_gt || ops.(pc + 2) = op_opt_ge)
-      && ops.(pc + 3) = op_branchunless
-    then fuse_cmp_branch
-    else if len >= 2 && ops.(pc) = op_getivar && ops.(pc + 1) = op_opt_aref
-    then fuse_ivar_aref
-    else if
-      len >= 2 && ops.(pc) = op_pushself
-      && ops.(pc + 1) = op_send
-      && (match insns.(pc + 1) with
-         | Send { ss_block = None; _ } -> true
-         | _ -> false)
-    then fuse_self_send
-    else fuse_straight
-  in
-  let pc = ref 0 in
-  while !pc < n do
-    if straightline ops.(!pc) then begin
-      (* extend while interior components are straight-line; one trailing
-         branch/leave may close the run (it is the last component) *)
-      let j = ref (!pc + 1) in
-      while
-        !j < n
-        && !j - !pc < max_fuse_len
-        && straightline ops.(!j)
-      do
-        incr j
-      done;
-      if !j < n && !j - !pc < max_fuse_len && ops.(!j) <> op_generic then
-        incr j;
-      let len = !j - !pc in
-      if len >= 2 then begin
-        fuse.(!pc) <- len;
-        fuse_kind.(!pc) <- named !pc len
-      end;
-      pc := !j
-    end
-    else incr pc
-  done
-
-(* Translate one method's bytecode array. O(n); run once per [code] and
-   cached per VM (see [Vm.dcode]), invalidated on method redefinition. *)
-let decode (code : Value.code) : Dcode.t =
-  let insns = code.insns in
-  let n = Array.length insns in
-  let ops = Array.make n 0
-  and opa = Array.make n 0
-  and opb = Array.make n 0
-  and vals = Array.make n VNil
-  and sites = Array.make n dummy_site
-  and cost = Array.make n 0
-  and yield_orig = Bytes.make n '\000'
-  and yield_ext = Bytes.make n '\000'
-  and fuse = Array.make n 0
-  and fuse_kind = Array.make n 0 in
-  for pc = 0 to n - 1 do
-    let i = insns.(pc) in
-    ops.(pc) <- opcode_of i;
-    cost.(pc) <- cost_class_of i;
-    if yields_original i then Bytes.set yield_orig pc '\001';
-    if yields_extended i then Bytes.set yield_ext pc '\001';
-    match i with
-    | Push v -> vals.(pc) <- v
-    | Getlocal (idx, d) | Setlocal (idx, d) ->
-        opa.(pc) <- idx;
-        opb.(pc) <- d
-    | Getivar (sym, slot) | Setivar (sym, slot) ->
-        opa.(pc) <- sym;
-        opb.(pc) <- slot
-    | Getcvar sym | Setcvar sym | Getglobal sym | Setglobal sym
-    | Getconst sym | Setconst sym ->
-        opa.(pc) <- sym
-    | Jump t | Branchif t | Branchunless t -> opa.(pc) <- t
-    | Send site -> sites.(pc) <- site
-    | _ -> ()
-  done;
-  scan_fuse insns ops fuse fuse_kind;
-  {
-    Dcode.src = code;
-    ops;
-    opa;
-    opb;
-    vals;
-    sites;
-    cost;
-    yield_orig;
-    yield_ext;
-    fuse;
-    fuse_kind;
-  }
-
-(* Never matches a real code (fresh uids are >= 0 and [src] is compared
-   physically): the cache's hole value, so lookups skip an option. *)
-let dcode_dummy =
-  decode
-    {
-      code_name = "<none>";
-      uid = -1;
-      kind = Toplevel;
-      arity = 0;
-      nlocals = 0;
-      insns = [||];
-    }
-
-(* ---- tier-3: compiled superblocks --------------------------------------
-
-   The third interpreter tier compiles a hot Dcode superblock (a
-   [scan_fuse] run) into one OCaml closure per fused component, emitted by
-   [Interp.compile_block] against this representation. Each closure is
-   specialized on its decoded operands — the literal, the local's frame
-   offset, the send site's symbol/argc/cache slot — but is built from the
-   SAME interpreter helpers as [Interp.step_d], so the simulated access
-   sequence (every [Htm.read]/[Htm.write], in order) is byte-identical to
-   the threaded tier; compilation elides host-side dispatch and operand
-   fetches only. Entries are cached per VM keyed like [Vm.dcode]
-   ([code.uid] rows, [src] physical-identity guard, flushed on
-   [Defmethod]/[Defclass]) and the runner deoptimizes back to
-   [Interp.step_d] whenever the registers no longer match the component
-   (window rollback, call/return, invalidation). *)
-
-module Jit = struct
-  (* A compiled component: executes exactly one instruction for a thread
-     whose registers sit at this component's pc. Returns [comp_continue]
-     or [comp_done], mirroring [Interp.step_result] without the payload
-     (the runner reads the retiring thread's [result] register). *)
-  type comp = Vmthread.t -> int
-
-  let comp_continue = 0
-  let comp_done = 1
-
-  type entry = {
-    e_src : Value.code;  (** physical-identity guard, like [Dcode.src] *)
-    e_head : int;  (** pc of the superblock head *)
-    e_len : int;  (** component count ([Dcode.fuse] at the head) *)
-    e_comps : comp array;  (** component [i] runs pc = [e_head + i] *)
-  }
-end
-
-(* Head executions of a superblock before the runner compiles it. Low
-   enough that steady-state loops compile almost immediately, high enough
-   that boot-time straight-line code never pays the emitter; tune against
-   the [--profile-json] hot-site dump. *)
-let jit_threshold = 64
-
-(* Cache hole: [e_head] is negative and [e_src] never physically equals a
-   live code, so lookups skip an option. *)
-let jit_dummy =
-  {
-    Jit.e_src = dcode_dummy.Dcode.src;
-    Jit.e_head = -1;
-    Jit.e_len = 0;
-    Jit.e_comps = [||];
-  }

@@ -10,132 +10,13 @@ val compile_program : Ast.t -> Value.program
 val compile_string : string -> Value.program
 (** Parse then compile. @raise Error, {!Parser.Error} or {!Lexer.Error}. *)
 
-(** Pre-decoded threaded representation of one method's bytecode: opcode
-    ids and operands unrolled into dense pc-parallel arrays so the threaded
-    interpreter ([Interp.step_d]) dispatches on an int and never re-matches
-    variant shapes. Produced once per [code] by {!decode} and cached per VM
-    ([Vm.dcode]); pcs are the original bytecode pcs, so txlen tables, abort
-    attribution and yield decisions are byte-identical across tiers. *)
-module Dcode : sig
-  val op_generic : int
-  (** routed to the reference [Interp.step] *)
-
-  val op_nop : int
-  val op_push : int
-  val op_pushself : int
-  val op_pop : int
-  val op_dup : int
-  val op_dup2 : int
-  val op_getlocal0 : int
-  val op_getlocal : int
-  val op_setlocal0 : int
-  val op_setlocal : int
-  val op_getivar : int
-  val op_setivar : int
-  val op_getcvar : int
-  val op_setcvar : int
-  val op_getglobal : int
-  val op_setglobal : int
-  val op_getconst : int
-  val op_setconst : int
-  val op_jump : int
-  val op_branchif : int
-  val op_branchunless : int
-  val op_leave : int
-  val op_opt_plus : int
-  val op_opt_minus : int
-  val op_opt_mult : int
-  val op_opt_div : int
-  val op_opt_mod : int
-  val op_opt_pow : int
-  val op_opt_eq : int
-  val op_opt_neq : int
-  val op_opt_lt : int
-  val op_opt_le : int
-  val op_opt_gt : int
-  val op_opt_ge : int
-  val op_opt_aref : int
-  val op_opt_aset : int
-  val op_opt_ltlt : int
-  val op_opt_not : int
-  val op_opt_neg : int
-  val op_send : int
-
-  val cost_plain : int
-  val cost_send : int
-  val cost_thread : int
-  val cost_alloc : int
-  val cost_def : int
-
-  val n_cost_classes : int
-  (** size of the runner's class->cycles table *)
-
-  (** Named peephole patterns recorded in [fuse_kind]. *)
-
-  val fuse_none : int
-  val fuse_local_arith : int
-  val fuse_cmp_branch : int
-  val fuse_ivar_aref : int
-  val fuse_self_send : int
-  val fuse_straight : int
-
-  type t = {
-    src : Value.code;  (** physical-identity guard for the per-VM cache *)
-    ops : int array;
-    opa : int array;
-    opb : int array;
-    vals : Value.t array;  (** [Push] literal per pc, [VNil] elsewhere *)
-    sites : Value.send_site array;  (** [Send] site per pc *)
-    cost : int array;  (** cost class per pc *)
-    yield_orig : Bytes.t;  (** '\001' where the original set yields *)
-    yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
-    fuse : int array;  (** component count at a superblock head, else 0 *)
-    fuse_kind : int array;  (** [fuse_*] pattern id at a head, else 0 *)
-  }
-end
-
-val opcode_of : Value.insn -> int
-val cost_class_of : Value.insn -> int
-
-val yields_original : Value.insn -> bool
-val yields_extended : Value.insn -> bool
-(** Mirror [Core.Yield_points]; the test suite pins the two together. *)
-
-val max_fuse_len : int
-
-val decode : Value.code -> Dcode.t
-(** Translate one method. O(n); cached per VM, see [Vm.dcode]. *)
-
-val dcode_dummy : Dcode.t
-(** Cache hole value; never physically equal to a live [code]. *)
-
-(** Tier-3 compiled superblocks: a hot {!Dcode} fuse run compiled into one
-    OCaml closure per component ([Interp.compile_block]), cached per VM
-    keyed like [Vm.dcode] and dispatched by the runner's superblock
-    executor. Closures are specialized on their decoded operands but built
-    from the same interpreter helpers as [Interp.step_d], so the simulated
-    access sequence stays byte-identical to the threaded tier. *)
-module Jit : sig
-  type comp = Vmthread.t -> int
-  (** Execute one instruction for a thread positioned at the component's
-      pc; returns {!comp_continue} or {!comp_done} (mirroring
-      [Interp.step_result] — the thread's [result] register carries the
-      retired value). *)
-
-  val comp_continue : int
-  val comp_done : int
-
-  type entry = {
-    e_src : Value.code;  (** physical-identity guard, like [Dcode.src] *)
-    e_head : int;  (** pc of the superblock head *)
-    e_len : int;  (** component count ([Dcode.fuse] at the head) *)
-    e_comps : comp array;  (** component [i] runs pc = [e_head + i] *)
-  }
-end
-
-val jit_threshold : int
-(** Head executions of a superblock before the runner compiles it. *)
-
-val jit_dummy : Jit.entry
-(** Cache hole value; [e_head] is negative and [e_src] never physically
-    equals a live [code]. *)
+val make_code :
+  name:string ->
+  kind:Value.code_kind ->
+  arity:int ->
+  nlocals:int ->
+  Value.insn array ->
+  Value.code
+(** A code record with a fresh uid and its per-pc table
+    ([Bytecode.code_info]); every code, compiled or synthesized at run time
+    ([defclass] accessors), is built through this. *)

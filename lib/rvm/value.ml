@@ -24,6 +24,9 @@ and code = {
   arity : int;
   nlocals : int;  (** parameters first, then other locals *)
   insns : insn array;
+  info : Bytes.t;
+      (** one byte per pc, built with the code ([Bytecode.code_info]): the
+          yield-point bits and cost class the runner reads on every step *)
 }
 
 and code_kind = Method | Block | Toplevel

@@ -271,9 +271,8 @@ let in_txn t ctx = t.sxs.(ctx).active
 let pending_abort t ctx = t.sxs.(ctx).pending_abort
 let clear_pending_abort t ctx = t.sxs.(ctx).pending_abort <- None
 let abort_line t ctx = t.sxs.(ctx).abort_line
-let footprint t ctx =
-  let sx = t.sxs.(ctx) in
-  (sx.r_len, sx.w_len)
+let footprint_rs t ctx = t.sxs.(ctx).r_len
+let footprint_ws t ctx = t.sxs.(ctx).w_len
 
 let stats t = t.stats
 let clock_cell t = t.clock_cell

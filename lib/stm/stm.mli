@@ -43,8 +43,9 @@ val abort_line : 'a t -> int -> int
 (** The line whose version check killed the context's last software
     transaction (or the GIL line for conflict kills); -1 when unknown. *)
 
-val footprint : 'a t -> int -> int * int
-(** [(read-set lines, redo-log words)] of the current or just-aborted
+val footprint_rs : 'a t -> int -> int
+val footprint_ws : 'a t -> int -> int
+(** Read-set lines and redo-log words of the current or just-aborted
     transaction; reset only at the next begin. *)
 
 val begin_ : 'a t -> ctx:int -> rollback:(Txn.abort_reason -> unit) -> unit

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Smoke pass: build, full test suite, the Gc allocation gates, a quick
 # figure regeneration under 1 and 4 worker domains, under both schedulers
-# and under all three interpreter tiers (compiled superblocks — the
-# default — plus the threaded and reference loops), and checks that every
-# run's "figures" member is byte-identical (host wall times live outside that member and
-# may legitimately differ). The sharded-serving panels additionally vary
+# and with the in-transaction fast paths off, and checks that every run's
+# "figures" member (and the hybrid, load, shard and clock members) is
+# byte-identical (host wall times live outside those members and may
+# legitimately differ). The sharded-serving panels additionally vary
 # SHARDS (1 on the first leg, 4 on every other): shard-domain placement is
 # a host knob and must never leak into the simulated data.
 set -eu
@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
-# allocation gates: transactional accesses and the interpreter step loop
-# must stay allocation-free in steady state
+# allocation gates: transactional accesses, the interpreter step loop and
+# the transaction window must stay allocation-free in steady state
 dune exec bench/main.exe -- gates
 
 SHARDS=1 BENCH_SIZE=test BENCH_JOBS=1 dune exec bench/main.exe -- figures
@@ -104,73 +104,8 @@ if [ -z "$cref" ] || [ "$c1" != "$cref" ]; then
 fi
 echo "smoke: figures identical across schedulers (digest $dref)"
 
-# the compiled superblock tier (the default on the legs above) must
-# reproduce the reference switch loop's runs exactly: regenerate under
-# BENCH_INTERP=ref and compare
-SHARDS=4 BENCH_INTERP=ref BENCH_SIZE=test BENCH_JOBS=4 dune exec bench/main.exe -- figures
-viref=$(dune exec bench/main.exe -- validate BENCH_results.json)
-diref=$(echo "$viref" | sed -n 's/^figures digest: //p')
-hiref=$(echo "$viref" | sed -n 's/^hybrid digest: //p')
-liref=$(echo "$viref" | sed -n 's/^load digest: //p')
-siref=$(echo "$viref" | sed -n 's/^shard digest: //p')
-ciref=$(echo "$viref" | sed -n 's/^clock digest: //p')
-
-if [ -z "$diref" ] || [ "$d1" != "$diref" ]; then
-  echo "smoke: FAIL: figures differ between compiled ($d1) and reference ($diref) interpreters" >&2
-  exit 1
-fi
-if [ -z "$hiref" ] || [ "$h1" != "$hiref" ]; then
-  echo "smoke: FAIL: hybrid panel differs between compiled ($h1) and reference ($hiref) interpreters" >&2
-  exit 1
-fi
-if [ -z "$liref" ] || [ "$l1" != "$liref" ]; then
-  echo "smoke: FAIL: load panels differ between compiled ($l1) and reference ($liref) interpreters" >&2
-  exit 1
-fi
-if [ -z "$siref" ] || [ "$s1" != "$siref" ]; then
-  echo "smoke: FAIL: shard panels differ between compiled ($s1) and reference ($siref) interpreters" >&2
-  exit 1
-fi
-if [ -z "$ciref" ] || [ "$c1" != "$ciref" ]; then
-  echo "smoke: FAIL: clock panels differ between compiled ($c1) and reference ($ciref) interpreters" >&2
-  exit 1
-fi
-echo "smoke: figures identical across compiled/ref interpreters (digest $diref)"
-
-# the middle tier: the pre-decoded threaded loop the compiled superblocks
-# deoptimize into must hash identically too, so all three tiers agree
-SHARDS=4 BENCH_INTERP=threaded BENCH_SIZE=test BENCH_JOBS=4 dune exec bench/main.exe -- figures
-vthr=$(dune exec bench/main.exe -- validate BENCH_results.json)
-dthr=$(echo "$vthr" | sed -n 's/^figures digest: //p')
-hthr=$(echo "$vthr" | sed -n 's/^hybrid digest: //p')
-lthr=$(echo "$vthr" | sed -n 's/^load digest: //p')
-sthr=$(echo "$vthr" | sed -n 's/^shard digest: //p')
-cthr=$(echo "$vthr" | sed -n 's/^clock digest: //p')
-
-if [ -z "$dthr" ] || [ "$d1" != "$dthr" ]; then
-  echo "smoke: FAIL: figures differ between compiled ($d1) and threaded ($dthr) interpreters" >&2
-  exit 1
-fi
-if [ -z "$hthr" ] || [ "$h1" != "$hthr" ]; then
-  echo "smoke: FAIL: hybrid panel differs between compiled ($h1) and threaded ($hthr) interpreters" >&2
-  exit 1
-fi
-if [ -z "$lthr" ] || [ "$l1" != "$lthr" ]; then
-  echo "smoke: FAIL: load panels differ between compiled ($l1) and threaded ($lthr) interpreters" >&2
-  exit 1
-fi
-if [ -z "$sthr" ] || [ "$s1" != "$sthr" ]; then
-  echo "smoke: FAIL: shard panels differ between compiled ($s1) and threaded ($sthr) interpreters" >&2
-  exit 1
-fi
-if [ -z "$cthr" ] || [ "$c1" != "$cthr" ]; then
-  echo "smoke: FAIL: clock panels differ between compiled ($c1) and threaded ($cthr) interpreters" >&2
-  exit 1
-fi
-echo "smoke: figures identical across all three interpreter tiers (digest $dthr)"
-
-# the in-transaction fast paths (line memos, undo coalescing, batched fast
-# window accounting) are host-speed only: regenerate with BENCH_HOT=off and
+# the in-transaction fast paths (line memos, undo coalescing) are
+# host-speed only: regenerate with BENCH_HOT=off and
 # every member must hash identically to the memoized default
 SHARDS=4 BENCH_HOT=off BENCH_SIZE=test BENCH_JOBS=4 dune exec bench/main.exe -- figures
 vhot=$(dune exec bench/main.exe -- validate BENCH_results.json)

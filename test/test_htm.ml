@@ -252,6 +252,25 @@ let prop_counter_serializable =
       done;
       Store.get store cell = n_ctx * increments)
 
+(* The reader table and the software mask are int bitsets indexed by
+   context: a machine with more contexts than an int has value bits must be
+   refused at creation, not wrap [1 lsl ctx] silently. *)
+let test_context_limit () =
+  let with_ctx n = { Machine.zec12 with Machine.n_cores = n; smt = 1 } in
+  ignore (mk ~machine:(with_ctx Htm.max_ctx) ());
+  Alcotest.(check int) "the limit is the int width" (Sys.int_size - 1)
+    Htm.max_ctx;
+  match mk ~machine:(with_ctx (Htm.max_ctx + 1)) () with
+  | _ -> Alcotest.fail "a machine past the bitset width was accepted"
+  | exception Invalid_argument msg ->
+      let needle = Printf.sprintf "at most %d" Htm.max_ctx in
+      let found =
+        let n = String.length needle and m = String.length msg in
+        let rec at i = i + n <= m && (String.sub msg i n = needle || at (i + 1)) in
+        at 0
+      in
+      Alcotest.(check bool) ("message names the limit: " ^ msg) true found
+
 let suite =
   [
     Alcotest.test_case "write-write conflict (requester wins)" `Quick
@@ -264,6 +283,8 @@ let suite =
     Alcotest.test_case "non-transactional write aborts subscribers" `Quick
       test_non_txn_write_aborts;
     Alcotest.test_case "write-set capacity abort" `Quick test_write_capacity;
+    Alcotest.test_case "context count limited by bitset width" `Quick
+      test_context_limit;
     Alcotest.test_case "SMT halves capacity" `Quick test_read_capacity_xeon_smt;
     Alcotest.test_case "Haswell learning predictor" `Quick test_learning_predictor;
     Alcotest.test_case "stats accounting" `Quick test_stats;

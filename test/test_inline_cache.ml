@@ -116,12 +116,12 @@ a.x = 5
 b.x = 6
 puts "#{a.x} #{b.x}"|}
 
-(* Compiled-tier guard deoptimization: a hot block whose send site keeps
-   missing the fill-once inline cache (one site, alternating receiver
-   classes) must count [deopt.guard] samples while staying semantically
-   identical to the reference interpreter — megamorphic dispatch falls
-   back to the full lookup, never to a stale target. *)
-let test_compiled_guard_deopt () =
+(* A megamorphic send site: one site, alternating receiver classes, so the
+   fill-once inline cache keeps missing and every miss takes the full
+   lookup — never a stale target. The instruction count and virtual time
+   are pinned, as is the miss count's order of magnitude (one per receiver
+   switch). *)
+let test_megamorphic_site () =
   let src =
     {|class A
   def tag
@@ -147,34 +147,25 @@ s = 0
 objs.each { |o| s += o.tag }
 puts s|}
   in
-  let run interp =
-    let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only ~interp
-        Htm_sim.Machine.zec12
-    in
-    Core.Runner.run_source cfg ~source:src
+  let cfg =
+    Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
   in
-  let c = run Core.Runner.Interp_compiled in
-  let r = run Core.Runner.Interp_ref in
-  Alcotest.(check string) "sum across receivers" "300\n" c.Core.Runner.output;
-  Alcotest.(check string) "ref tier agrees" r.Core.Runner.output
-    c.Core.Runner.output;
-  Alcotest.(check int) "same instruction stream" r.Core.Runner.total_insns
-    c.Core.Runner.total_insns;
-  let count name =
-    (Obs.Metrics.counter c.Core.Runner.metrics name).Obs.Metrics.count
+  let r = Core.Runner.run_source cfg ~source:src in
+  Alcotest.(check string) "sum across receivers" "300\n" r.Core.Runner.output;
+  Alcotest.(check int) "instructions" 9546 r.Core.Runner.total_insns;
+  Alcotest.(check int) "virtual time" 628391 r.Core.Runner.wall_cycles;
+  let misses =
+    (Obs.Metrics.counter r.Core.Runner.metrics "interp.method_cache_misses")
+      .Obs.Metrics.count
   in
-  Alcotest.(check bool) "hot blocks compiled" true (count "compile.blocks" > 0);
-  Alcotest.(check bool)
-    "cache misses sampled as guard deopts" true
-    (count "deopt.guard" > 0)
+  Alcotest.(check bool) "a miss per receiver switch" true (misses >= 100)
 
 let suite =
   [
     Alcotest.test_case "polymorphic site, all cache policies" `Quick
       test_polymorphic_site;
-    Alcotest.test_case "compiled tier: guard deopt at megamorphic site" `Quick
-      test_compiled_guard_deopt;
+    Alcotest.test_case "megamorphic site: full lookup per miss" `Quick
+      test_megamorphic_site;
     Alcotest.test_case "inherited ivar guards" `Quick test_inherited_ivar_guard;
     Alcotest.test_case "diverged subclass layouts" `Quick
       test_subclass_with_own_ivars;

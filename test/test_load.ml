@@ -1,7 +1,7 @@
 (* The open-loop load tier: the fig_load family's JSON member must be a
    pure function of the simulated semantics — byte-identical across worker
-   counts, both schedulers and both interpreter tiers (the digest-stability
-   acceptance check the smoke script runs at full scale). *)
+   counts and both schedulers (the digest-stability acceptance check the
+   smoke script runs at full scale). *)
 
 module J = Obs.Json
 
@@ -28,14 +28,11 @@ let test_jobs_stability () =
   Alcotest.(check bool) "BENCH_JOBS=1 and 4 serialise identically" true
     (one = four)
 
-let test_tier_stability () =
+let test_sched_stability () =
   let base = panel_text () in
   let ref_sched = with_env "BENCH_SCHED" "ref" panel_text in
   Alcotest.(check bool) "reference scheduler serialises identically" true
-    (base = ref_sched);
-  let ref_interp = with_env "BENCH_INTERP" "ref" panel_text in
-  Alcotest.(check bool) "reference interpreter serialises identically" true
-    (base = ref_interp)
+    (base = ref_sched)
 
 (* The sweep's semantics, not just its stability: saturation must show up
    as achieved load capped below offered, with losses accounted. *)
@@ -66,7 +63,7 @@ let suite =
   [
     Alcotest.test_case "fig_load stable across worker counts" `Quick
       test_jobs_stability;
-    Alcotest.test_case "fig_load stable across sched/interp tiers" `Quick
-      test_tier_stability;
+    Alcotest.test_case "fig_load stable across schedulers" `Quick
+      test_sched_stability;
     Alcotest.test_case "saturation shape" `Quick test_saturation_shape;
   ]

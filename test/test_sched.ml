@@ -95,6 +95,52 @@ let test_push_pop () =
   Alcotest.(check int) "re-key up: key kept" 40 (Sched.min_key t);
   Alcotest.(check (list int)) "re-keyed order" [ 1 ] (drain t)
 
+(* The packed key: (key, tid) share one int, so equal keys must still
+   break toward the higher tid, tids past 64 (a thread per request) must
+   order like small ones, and values the packing cannot hold must be
+   refused rather than wrap. *)
+let test_packed_ties () =
+  let t = Sched.create () in
+  List.iter (fun tid -> Sched.push t ~key:7 tid) [ 3; 0; 9; 5 ];
+  Alcotest.(check bool) "(7, 9) precedes (7, 8)" true
+    (Sched.min_precedes t ~key:7 ~tid:8);
+  Alcotest.(check bool) "(7, 9) does not precede (7, 10)" false
+    (Sched.min_precedes t ~key:7 ~tid:10);
+  Alcotest.(check int) "tie keeps the key" 7 (Sched.min_key t);
+  Alcotest.(check (list int)) "equal keys: tid descending" [ 9; 5; 3; 0 ]
+    (drain t)
+
+let test_packed_large_tids () =
+  let t = Sched.create () in
+  List.iter
+    (fun (k, tid) -> Sched.push t ~key:k tid)
+    [ (40, 65); (40, 1000); (39, 70); (41, 3); (40, 64); (40, Sched.max_tid) ];
+  Alcotest.(check bool) "mem tid 1000" true (Sched.mem t 1000);
+  Alcotest.(check int) "smaller key first" 70 (Sched.push_pop t ~key:40 66);
+  Alcotest.(check (list int)) "(key, tid desc) across tids > 64"
+    [ Sched.max_tid; 1000; 66; 65; 64; 3 ] (drain t);
+  Sched.push t ~key:Sched.max_key 2;
+  Alcotest.(check int) "largest key round-trips" Sched.max_key (Sched.min_key t)
+
+let test_packed_bounds () =
+  let t = Sched.create () in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "tid past max_tid" (fun () -> Sched.push t ~key:0 (Sched.max_tid + 1));
+  refused "negative tid" (fun () -> Sched.push t ~key:0 (-1));
+  refused "key past max_key" (fun () -> Sched.push t ~key:(Sched.max_key + 1) 1);
+  refused "negative key" (fun () -> Sched.push t ~key:(-1) 1);
+  refused "push_pop tid past max_tid" (fun () ->
+      ignore (Sched.push_pop t ~key:0 (Sched.max_tid + 1)));
+  Alcotest.(check bool) "nothing inserted" true (Sched.is_empty t);
+  Alcotest.check_raises "message names the range"
+    (Invalid_argument
+       (Printf.sprintf "Sched.push: tid %d outside [0, %d]" (Sched.max_tid + 1)
+          Sched.max_tid)) (fun () -> Sched.push t ~key:0 (Sched.max_tid + 1))
+
 (* Random push/re-key/remove/pop_min/push_pop traffic against a
    sorted-list model. *)
 let test_randomized_vs_model =
@@ -286,6 +332,39 @@ let test_diff_server ~clients () =
   Alcotest.(check bool) "served requests" true (heap.requests_completed > 0);
   assert_same_run (Printf.sprintf "webrick/htm-dynamic/%dc" clients) heap ref_
 
+(* A server that spawns a thread per request numbers its threads past
+   64: the open-loop Rails socket with 100 requests, under the hybrid
+   scheme, so sleepers, acceptors, software windows and the packed keys of
+   tids above 64 all meet. *)
+let test_diff_thread_per_request () =
+  let w = Option.get (Workloads.Workload.find "rails") in
+  let requests = 100 and threads = 4 in
+  let run sched =
+    let io =
+      (Option.get w.Workloads.Workload.make_io_open)
+        ~clients:threads ~requests
+        ~arrivals:(Netsim.Poisson { rate = 4500.0; seed = 7 })
+        ~mix:w.Workloads.Workload.mix
+    in
+    let cfg =
+      Core.Runner.config ~scheme:Core.Scheme.Hybrid ~sched
+        Htm_sim.Machine.xeon_e3
+    in
+    let t =
+      Core.Runner.create ~io cfg
+        ~source:(w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test)
+    in
+    w.Workloads.Workload.setup (Some io) t.Core.Runner.vm;
+    let r = Core.Runner.run ~stop:(fun () -> Netsim.done_all io) t in
+    (r, t.Core.Runner.vm.Rvm.Vm.n_threads)
+  in
+  let heap, n_heap = run Core.Runner.Sched_heap
+  and ref_, n_ref = run Core.Runner.Sched_ref in
+  Alcotest.(check bool) "tids past 64" true (n_heap > 64);
+  Alcotest.(check int) "same thread count" n_ref n_heap;
+  Alcotest.(check int) "every request served" requests heap.requests_completed;
+  assert_same_run "rails/hybrid/100 requests" heap ref_
+
 let suite =
   [
     Alcotest.test_case "pop order" `Quick test_pop_order;
@@ -293,6 +372,9 @@ let suite =
     Alcotest.test_case "mem + remove" `Quick test_mem_remove;
     Alcotest.test_case "pop_min on empty" `Quick test_pop_min_empty;
     Alcotest.test_case "push_pop" `Quick test_push_pop;
+    Alcotest.test_case "packed key: ties" `Quick test_packed_ties;
+    Alcotest.test_case "packed key: tids past 64" `Quick test_packed_large_tids;
+    Alcotest.test_case "packed key: bounds" `Quick test_packed_bounds;
     test_randomized_vs_model;
     Alcotest.test_case "heap = ref scan (compute)" `Quick test_diff_compute;
     Alcotest.test_case "heap = ref scan (server)" `Quick
@@ -300,6 +382,8 @@ let suite =
     Alcotest.test_case "heap = ref scan (server, 12c)" `Quick
       (test_diff_server ~clients:12);
     Alcotest.test_case "heap = ref scan (npb, 12T)" `Quick test_diff_compute_12;
+    Alcotest.test_case "heap = ref scan (thread per request)" `Quick
+      test_diff_thread_per_request;
     Alcotest.test_case "chunked advance = run (npb, 12T)" `Quick
       test_chunked_advance_12;
   ]
