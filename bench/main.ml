@@ -159,13 +159,11 @@ let interp_insns_per_sec () =
   if dt > 0.0 then float_of_int r.Core.Runner.total_insns /. dt else 0.0
 
 (* The in-transaction read+write pair micro (the transactional counterpart
-   of the non-transactional 16.8 -> 10.2 ns fast-flag micro): every access
-   lands in a line the transaction already owns, so the memoized fast path
-   covers all but the first pair of each transaction. Interleaved best-of-6
-   per setting — alternating hot/cold rounds and keeping each setting's
-   minimum cancels host noise the way EXPERIMENTS.md's interleaved
-   best-of-six protocol does. Returns (hot_ns, cold_ns) per pair and
-   restores the engine to the BENCH_HOT default. *)
+   of the non-transactional fast-flag micro): every access lands in a line
+   the transaction already owns, and each cell is rewritten with a fresh
+   value, so after a line's first pair the engine skips only the duplicate
+   undo entries. Best of six timed rounds after one throwaway round, the
+   minimum cancelling host noise. Returns ns per pair. *)
 let intxn_pair_measure () =
   let machine = Htm_sim.Machine.zec12 in
   let store =
@@ -187,10 +185,7 @@ let intxn_pair_measure () =
       Htm_sim.Htm.tend htm ~ctx:0
     done
   in
-  let measure hot =
-    Htm_sim.Htm.set_hot htm hot;
-    loop ();
-    (* warm: scratch arrays grown, branch state settled *)
+  let measure () =
     let reps = 20 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
@@ -199,17 +194,14 @@ let intxn_pair_measure () =
     let dt = Unix.gettimeofday () -. t0 in
     dt *. 1e9 /. float_of_int (reps * txns * pairs)
   in
-  (* one throwaway round per setting: the first timed windows otherwise
-     absorb cold caches and whatever GC debt the caller left behind *)
-  ignore (measure true);
-  ignore (measure false);
-  let best_hot = ref infinity and best_cold = ref infinity in
+  (* one throwaway round: the first timed window otherwise absorbs cold
+     caches and whatever GC debt the caller left behind *)
+  ignore (measure ());
+  let best = ref infinity in
   for _ = 1 to 6 do
-    best_hot := min !best_hot (measure true);
-    best_cold := min !best_cold (measure false)
+    best := Float.min !best (measure ())
   done;
-  Htm_sim.Htm.set_hot htm (Htm_sim.Htm.default_hot ());
-  (!best_hot, !best_cold)
+  !best
 
 (* The shard tier's headline number for the trajectory: aggregate served
    req/s of the HTM-dynamic WEBrick cell at the largest shard count,
@@ -300,11 +292,7 @@ let trajectory_entry ~size ~shard_fields =
       ("panels", J.Obj (List.rev !host_times));
       ("interp_insns_per_sec", J.Float (interp_insns_per_sec ()));
     ]
-    @ (let hot_ns, cold_ns = intxn_pair_measure () in
-       [
-         ("intxn_pair_ns_hot", J.Float hot_ns);
-         ("intxn_pair_ns_cold", J.Float cold_ns);
-       ])
+    @ [ ("intxn_pair_ns", J.Float (intxn_pair_measure ())) ]
     @ shard_fields)
 
 let figures () =
@@ -795,42 +783,18 @@ let flat_vs_hashtbl_check () =
   in
   go 3
 
-(* Acceptance gate for the in-transaction fast paths: the memoized
-   read+write pair must be at least 20% faster than the un-memoized
-   baseline, measured interleaved best-of-six. Re-measured before
-   failing, like the flat-vs-hashtbl check. *)
-let intxn_pair_check () =
-  Format.fprintf fmt
-    "@.=== in-transaction read+write pair: memoized vs baseline ===@.";
-  let rec go attempts =
-    let hot_ns, cold_ns = intxn_pair_measure () in
-    Format.fprintf fmt
-      "in-txn pair: %.1f ns memoized, %.1f ns baseline (%.2fx)@." hot_ns
-      cold_ns (cold_ns /. hot_ns);
-    if hot_ns > 0.8 *. cold_ns then
-      if attempts > 1 then go (attempts - 1)
-      else begin
-        Format.eprintf
-          "FAIL: in-transaction fast paths under 20%% ahead of the baseline@.";
-        exit 1
-      end
-  in
-  go 3
-
 (* Acceptance gate for the scratch-array transaction state: once the line
    tables and scratch arrays are warm, a transactional access must not
-   allocate — with the line memo on (the default) or off. The budget
-   absorbs the boxed floats [Gc.minor_words] itself returns. *)
-let zero_alloc_check ?(hot = true) () =
+   allocate. The budget absorbs the boxed floats [Gc.minor_words] itself
+   returns. *)
+let zero_alloc_check () =
   Format.fprintf fmt
-    "@.=== steady-state allocation per transactional access (memo %s) ===@."
-    (if hot then "on" else "off");
+    "@.=== steady-state allocation per transactional access ===@.";
   let machine = Htm_sim.Machine.zec12 in
   let store =
     Htm_sim.Store.create ~dummy:0 ~line_cells:machine.line_cells 4096
   in
   let htm = Htm_sim.Htm.create machine store in
-  Htm_sim.Htm.set_hot htm hot;
   Htm_sim.Htm.set_occupied htm 0 true;
   let region = Htm_sim.Store.reserve_aligned store 1024 in
   let txns = 2_000 and writes = 64 in
@@ -940,17 +904,14 @@ let window_alloc_check () =
    generation-stamped tables are warm, a software-transactional access
    (begin / read / write / validate / commit loop) must not allocate. Uses
    an int store so no values box. *)
-let stm_alloc_check ?(hot = true) () =
+let stm_alloc_check () =
   Format.fprintf fmt
-    "@.=== steady-state allocation per software-transactional access (memo \
-     %s) ===@."
-    (if hot then "on" else "off");
+    "@.=== steady-state allocation per software-transactional access ===@.";
   let machine = Htm_sim.Machine.zec12 in
   let store =
     Htm_sim.Store.create ~dummy:0 ~line_cells:machine.line_cells 4096
   in
   let htm = Htm_sim.Htm.create machine store in
-  Htm_sim.Htm.set_hot htm hot;
   Htm_sim.Htm.set_occupied htm 0 true;
   let stm = Stm.create ~mk_clock:(fun n -> n) htm in
   let region = Htm_sim.Store.reserve_aligned store 1024 in
@@ -1027,13 +988,10 @@ let sched_alloc_check () =
    the smoke script and CI to run on every push. *)
 let gates () =
   zero_alloc_check ();
-  zero_alloc_check ~hot:false ();
   stm_alloc_check ();
-  stm_alloc_check ~hot:false ();
   step_alloc_check ();
   window_alloc_check ();
-  sched_alloc_check ();
-  intxn_pair_check ()
+  sched_alloc_check ()
 
 let micro () =
   Format.fprintf fmt "@.=== Bechamel: simulator micro-benchmarks ===@.";
@@ -1041,13 +999,10 @@ let micro () =
   tracing_overhead_check ();
   flat_vs_hashtbl_check ();
   zero_alloc_check ();
-  zero_alloc_check ~hot:false ();
   stm_alloc_check ();
-  stm_alloc_check ~hot:false ();
   step_alloc_check ();
   window_alloc_check ();
-  sched_alloc_check ();
-  intxn_pair_check ()
+  sched_alloc_check ()
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -52,15 +52,11 @@ type config = {
   subscription : Subscription.t;
       (** how hardware windows subscribe to the GIL/clock words (eager
           unless BENCH_SUB or --subscription says otherwise) *)
-  hot : bool;
-      (** in-transaction access fast paths (engine line memos and undo
-          coalescing); on unless BENCH_HOT=off or [?hot] says otherwise.
-          Both settings replay every observable decision byte-identically *)
 }
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
-    ?tracer ?sched ?clock ?subscription ?hot machine =
+    ?tracer ?sched ?clock ?subscription machine =
   let sched =
     match sched with Some s -> s | None -> default_sched_kind ()
   in
@@ -70,9 +66,8 @@ let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended
   let subscription =
     match subscription with Some s -> s | None -> Subscription.default ()
   in
-  let hot = match hot with Some h -> h | None -> Htm.default_hot () in
   { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
-    sched; clock; subscription; hot }
+    sched; clock; subscription }
 
 type breakdown = {
   mutable bd_txn_overhead : int;
@@ -297,7 +292,6 @@ let create ?(io : Netsim.t option) cfg ~source =
           (Machine.lazy_sub_safe is false)"
          cfg.machine.Machine.name);
   Htm.set_subscription vm.Rvm.Vm.htm cfg.subscription;
-  Htm.set_hot vm.Rvm.Vm.htm cfg.hot;
   (* the software fallback engine: created (and its commit-clock cell
      reserved) only for the schemes that can use it, so every other
      scheme's store layout — and therefore its figures — is untouched *)
@@ -1613,7 +1607,7 @@ let snapshot t =
     requests_completed = (match t.io with Some io -> Netsim.completed io | None -> 0);
     request_throughput = (match t.io with Some io -> Netsim.throughput io | None -> 0.0);
     metrics = vm.Rvm.Vm.metrics;
-    abort_sites = t.sites;
+    abort_sites = Obs.Sites.detach t.sites;
     trace = t.tracer;
   }
 

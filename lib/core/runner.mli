@@ -44,14 +44,6 @@ type config = {
           windows when GC starts and requires
           [Machine.lazy_sub_safe = true] ({!create} rejects it
           otherwise). *)
-  hot : bool;
-      (** in-transaction access fast paths: the engine's per-context line
-          memos (plus undo-log write coalescing) and the STM read memo.
-          Defaults to
-          [Htm.default_hot ()] ([true] unless [BENCH_HOT=off]). Both
-          settings replay every observable decision byte-identically; the
-          off setting keeps the un-memoized baseline selectable for
-          differential testing. *)
 }
 
 val config :
@@ -64,7 +56,6 @@ val config :
   ?sched:sched_kind ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
-  ?hot:bool ->
   Htm_sim.Machine.t ->
   config
 
@@ -95,7 +86,9 @@ type result = {
   metrics : Obs.Metrics.t;
       (** the VM's registry: interpreter counters, GC pause / txn / GIL-wait
           histograms added by the runner *)
-  abort_sites : Obs.Sites.t;  (** abort-site attribution for this run *)
+  abort_sites : Obs.Sites.t;
+      (** abort-site attribution for this run, detached from the VM
+          ({!Obs.Sites.detach}) so a kept result does not keep the VM alive *)
   trace : Obs.Trace.t option;  (** the sink passed in the config, if any *)
 }
 

@@ -35,7 +35,16 @@ type 'a t = {
      store's full capacity (see [grow_line_tables]) *)
   mutable readers : int array;  (** bitset of ctx ids with the line in a read set *)
   mutable writers : int array;  (** ctx id with the line in a write set, or -1 *)
-  mutable last_writers : int array;  (** for the coherence cost model, or -1 *)
+  mutable last_writers : int array;
+      (** for the coherence cost model, or -1; grown only in [Coherent]
+          mode, the one mode that reads it *)
+  mutable undo_mask : int array;
+      (** per line: bit [off] set when the cell at offset [off] of the
+          line already has an undo entry in the transaction of the line's
+          writer ([writers]). A line has at most one transactional writer,
+          so one mask per line suffices; [clear_marks] zeroes it whenever
+          it resets the writer. Grown only in [Htm_mode], the one mode
+          with transactions *)
   mutable conflicts : int array;
       (** per line: number of conflict aborts it caused (for the abort-cause
           investigations of Section 5.6) *)
@@ -89,42 +98,11 @@ type 'a t = {
           transaction is live anywhere and no coherence charges apply, so
           [read]/[write] reduce to counting the access and touching the
           store. Recomputed at every [active]/[sw_mask] transition. *)
-  mutable hot : bool;
-      (** in-transaction fast paths enabled (the [BENCH_HOT] knob): the
-          per-context line memo below may short-circuit re-accesses to
-          lines already in the context's own footprint. Off retains the
-          un-memoized path for differential testing. *)
-  (* Per-context access memo: the last line this context's *live hardware
-     transaction* touched, as an address range plus footprint membership.
-     While the transaction is live nothing can remove its own marks — any
-     conflict aborts it outright, and [clear_marks] runs only from
-     [abort_txn]/[tend] — so membership cached here stays true until the
-     transaction ends. Invalidated at [tbegin] and [finish_txn] (which
-     covers commit, every abort and therefore every conflict event that
-     touches the context). *)
-  memo_lo : int array;  (** first addr of the memoized line; [max_int] = empty *)
-  memo_hi : int array;  (** last addr of the memoized line; [-1] = empty *)
-  memo_id : int array;  (** memoized line id, or -1 *)
-  memo_w : int array;  (** 1 = the memoized line is in the context's write set *)
-  memo_logged : int array;
-      (** cells of the memoized line (bit [addr - memo_lo]) that already
-          have an undo-log entry in this transaction: a memo-hit write to
-          one of them skips the duplicate [Txn.push_undo] (replay is
-          newest-first, so the surviving older entry still restores the
-          pre-transaction value) *)
   mutable stamp_epoch : int;
       (** bumped whenever any line's version stamp changes (hardware
           commit stamping, committed writes, GV5 lazy stamps): the STM
           layer's read memo is valid only while this is unchanged *)
 }
-
-(* BENCH_HOT=off flips the process-wide default so the smoke script and CI
-   can regenerate every figure with the memoized fast paths disabled,
-   mirroring the BENCH_SCHED pattern. *)
-let default_hot () =
-  match Sys.getenv_opt "BENCH_HOT" with
-  | Some ("off" | "OFF" | "0" | "no") -> false
-  | _ -> true
 
 let[@inline] update_fast t =
   t.fast <- t.mode <> Coherent && t.active = 0 && t.sw_mask = 0
@@ -139,7 +117,12 @@ let grow_line_tables t cap_cells =
     in
     t.readers <- grow t.readers 0;
     t.writers <- grow t.writers (-1);
-    t.last_writers <- grow t.last_writers (-1);
+    (* the mode-exclusive tables stay empty in the other modes, so no mode
+       carries a line table it never reads *)
+    (match t.mode with
+    | Coherent -> t.last_writers <- grow t.last_writers (-1)
+    | Htm_mode -> t.undo_mask <- grow t.undo_mask 0
+    | Plain -> ());
     t.conflicts <- grow t.conflicts 0;
     t.versions <- grow t.versions 0;
     t.n_lines <- n
@@ -166,6 +149,7 @@ let create ?(mode = Htm_mode) ?(seed = 42) machine store =
       readers = [||];
       writers = [||];
       last_writers = [||];
+      undo_mask = [||];
       conflicts = [||];
       versions = [||];
       n_lines = 0;
@@ -185,12 +169,6 @@ let create ?(mode = Htm_mode) ?(seed = 42) machine store =
       step_accesses = 0;
       cur_ctx = 0;
       fast = mode <> Coherent;
-      hot = default_hot ();
-      memo_lo = Array.make n max_int;
-      memo_hi = Array.make n (-1);
-      memo_id = Array.make n (-1);
-      memo_w = Array.make n 0;
-      memo_logged = Array.make n 0;
       stamp_epoch = 0;
     }
   in
@@ -207,26 +185,6 @@ let abort_line t ctx = t.txns.(ctx).abort_line
 let subscription t = t.subscription
 let set_subscription t s = t.subscription <- s
 
-let[@inline] memo_clear t ctx =
-  Array.unsafe_set t.memo_lo ctx max_int;
-  Array.unsafe_set t.memo_hi ctx (-1);
-  Array.unsafe_set t.memo_id ctx (-1);
-  Array.unsafe_set t.memo_w ctx 0;
-  Array.unsafe_set t.memo_logged ctx 0
-
-let hot t = t.hot
-
-let set_hot t v =
-  t.hot <- v;
-  (* drop every context's memo so flipping mid-run can never serve a stale
-     hit from the other setting *)
-  for ctx = 0 to Array.length t.txns - 1 do
-    memo_clear t ctx
-  done
-
-(* Test-only observer: the line id the context's memo currently holds
-   (-1 when empty), for pinning invalidation at txn boundaries. *)
-let memoized_line t ctx = t.memo_id.(ctx)
 let stamp_epoch t = t.stamp_epoch
 
 (* ---- software-transaction plumbing -------------------------------------- *)
@@ -294,6 +252,7 @@ let peek t addr =
    tbegin, so this is still valid inside the rollback closure of an abort. *)
 let footprint_rs t ctx = t.txns.(ctx).Txn.rs
 let footprint_ws t ctx = t.txns.(ctx).Txn.ws
+let undo_entries t ctx = t.txns.(ctx).Txn.undo_len
 
 let drain_step_cost t =
   let c = t.step_extra_cycles and a = t.step_accesses in
@@ -317,18 +276,18 @@ let clear_marks t (txn : 'a Txn.t) =
     let id = Array.unsafe_get lines i in
     let r = Array.unsafe_get t.readers id in
     if r land mask <> r then Array.unsafe_set t.readers id (r land mask);
-    if Array.unsafe_get t.writers id = txn.ctx then
-      Array.unsafe_set t.writers id (-1)
+    if Array.unsafe_get t.writers id = txn.ctx then begin
+      Array.unsafe_set t.writers id (-1);
+      Array.unsafe_set t.undo_mask id 0
+    end
   done;
   txn.lines_len <- 0
 
-(* Covers every transaction end — commit, explicit abort, and each
-   conflict/capacity abort (all funnel through here) — so the access memo
-   can never outlive the transaction whose footprint it describes. *)
+(* Every transaction end — commit, explicit abort, and each
+   conflict/capacity abort — funnels through here. *)
 let finish_txn t (txn : 'a Txn.t) =
   txn.active <- false;
   txn.undo_len <- 0;
-  memo_clear t txn.ctx;
   t.active <- t.active - 1;
   update_fast t
 
@@ -414,7 +373,6 @@ let tbegin t ~ctx ~rollback =
   txn.rollback <- rollback;
   txn.pending_abort <- None;
   txn.abort_line <- -1;
-  memo_clear t ctx;
   t.active <- t.active + 1;
   update_fast t;
   t.stats.begins <- t.stats.begins + 1;
@@ -537,61 +495,33 @@ let nontxn_write_lazy_stamp t ~ctx addr v =
   end;
   Store.set_unsafe t.store addr v
 
-(* Install [id] as [ctx]'s memoized line. Only reached after the access
-   machinery has put the line in the context's own footprint, so every
-   later access to the same line while the transaction stays live is a
-   statically-known no-op on the line tables (see the memo field docs). *)
-let[@inline] memo_install t ~ctx ~id =
-  let lc = t.machine.line_cells in
-  let lo = id * lc in
-  Array.unsafe_set t.memo_lo ctx lo;
-  Array.unsafe_set t.memo_hi ctx (lo + lc - 1);
-  Array.unsafe_set t.memo_id ctx id;
-  Array.unsafe_set t.memo_w ctx
-    (if Array.unsafe_get t.writers id = ctx then 1 else 0);
-  Array.unsafe_set t.memo_logged ctx 0
-
-(* [addr]'s bit in [memo_logged]; 0 (never coalesced) for a cell past the
-   int's width, so any line size stays correct. *)
-let[@inline] logged_bit t ~ctx addr =
-  let off = addr - Array.unsafe_get t.memo_lo ctx in
-  if off < Sys.int_size - 1 then 1 lsl off else 0
+(* [off]'s bit in a line's [undo_mask]; 0 (never coalesced) for an offset
+   past the int's width, so any line size stays correct. *)
+let[@inline] undo_bit off = if off < Sys.int_size - 1 then 1 lsl off else 0
 
 let read_slow t ~ctx addr =
   let txn = t.txns.(ctx) in
   if txn.active then begin
     t.stats.txn_accesses <- t.stats.txn_accesses + 1;
-    if
-      t.hot
-      && addr >= Array.unsafe_get t.memo_lo ctx
-      && addr <= Array.unsafe_get t.memo_hi ctx
-    then
-      (* memo hit: the line is already in our footprint, so the baseline
-         body's writer/reader probes are statically no-ops — the access is
-         exactly the counter bump above plus the load *)
-      Store.get_unsafe t.store addr
-    else begin
-      let id = Store.line_of t.store addr in
-      (* A line we already wrote is in our store buffer; reading it is free
-         of coherence interaction. *)
-      if Array.unsafe_get t.writers id <> ctx then begin
-        let w = Array.unsafe_get t.writers id in
-        if w >= 0 then begin
-          note_conflict t id;
-          abort_txn ~line:id t t.txns.(w) Conflict
-        end;
-        let bit = 1 lsl ctx in
-        let r = Array.unsafe_get t.readers id in
-        if r land bit = 0 then begin
-          if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
-          Array.unsafe_set t.readers id (r lor bit);
-          txn.rs <- txn.rs + 1;
-          Txn.push_line txn id
-        end
+    let id = Store.line_of t.store addr in
+    (* A line we already wrote is in our store buffer; reading it is free
+       of coherence interaction. *)
+    if Array.unsafe_get t.writers id <> ctx then begin
+      let w = Array.unsafe_get t.writers id in
+      if w >= 0 then begin
+        note_conflict t id;
+        abort_txn ~line:id t t.txns.(w) Conflict
       end;
-      if t.hot then memo_install t ~ctx ~id;
-      Store.get_unsafe t.store addr
-    end
+      let bit = 1 lsl ctx in
+      let r = Array.unsafe_get t.readers id in
+      if r land bit = 0 then begin
+        if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
+        Array.unsafe_set t.readers id (r lor bit);
+        txn.rs <- txn.rs + 1;
+        Txn.push_line txn id
+      end
+    end;
+    Store.get_unsafe t.store addr
   end
   else if t.sw_mask land (1 lsl ctx) <> 0 then t.sw_read ctx addr
   else nontxn_read t ~ctx addr
@@ -607,52 +537,44 @@ let read t ~ctx addr =
   end
   else read_slow t ~ctx addr
 
+(* A transactional write takes the line into the write set exactly as the
+   hardware would — conflict probe, capacity check, predictor draw — on the
+   first write to it, whatever the value. What it logs and stores is the
+   minimum that keeps rollback exact:
+   - a cell whose bit is already set in the line's [undo_mask] keeps its
+     older entry (replay is newest-first, so the oldest entry, the
+     pre-transaction value, lands last anyway);
+   - a value physically equal to the cell's current one changes nothing
+     to undo or to store. *)
 let write_slow t ~ctx addr v =
   let txn = t.txns.(ctx) in
   if txn.active then begin
     t.stats.txn_accesses <- t.stats.txn_accesses + 1;
-    if
-      t.hot
-      && Array.unsafe_get t.memo_w ctx = 1
-      && addr >= Array.unsafe_get t.memo_lo ctx
-      && addr <= Array.unsafe_get t.memo_hi ctx
-    then begin
-      (* memo hit on a line already in our write set: the baseline body's
-         conflict probe, capacity check and predictor draw are statically
-         skipped ([writers.(id) = ctx]). Coalesce the undo entry when
-         this cell is already logged — replay is newest-first, so the
-         older surviving entry still restores the pre-transaction value. *)
-      let logged = Array.unsafe_get t.memo_logged ctx
-      and bit = logged_bit t ~ctx addr in
-      if logged land bit = 0 then begin
-        Txn.push_undo txn addr (Store.get_unsafe t.store addr);
-        Array.unsafe_set t.memo_logged ctx (logged lor bit)
-      end;
-      Store.set_unsafe t.store addr v
-    end
-    else begin
-      let id = Store.line_of t.store addr in
-      if Array.unsafe_get t.writers id <> ctx then begin
-        abort_conflicting t ~ctx ~id;
-        if txn.ws >= txn.ws_limit then tabort t ~ctx Overflow_write;
-        (* Haswell learning predictor: while suspicious after recent
-           capacity aborts, transactions that grow past half the budget are
-           killed eagerly with probability equal to the current suspicion
-           level (empirical behaviour from Figure 6a). *)
-        if
-          t.machine.learning
-          && t.suspicion.(ctx) > 0.001
-          && txn.ws >= txn.ws_limit / 2
-          && Prng.float t.prng < t.suspicion.(ctx)
-        then tabort t ~ctx Eager;
-        Array.unsafe_set t.writers id ctx;
-        txn.ws <- txn.ws + 1;
-        Txn.push_line txn id
-      end;
-      Txn.push_undo txn addr (Store.get_unsafe t.store addr);
-      if t.hot then begin
-        memo_install t ~ctx ~id;
-        Array.unsafe_set t.memo_logged ctx (logged_bit t ~ctx addr)
+    let id = Store.line_of t.store addr in
+    if Array.unsafe_get t.writers id <> ctx then begin
+      abort_conflicting t ~ctx ~id;
+      if txn.ws >= txn.ws_limit then tabort t ~ctx Overflow_write;
+      (* Haswell learning predictor: while suspicious after recent
+         capacity aborts, transactions that grow past half the budget are
+         killed eagerly with probability equal to the current suspicion
+         level (empirical behaviour from Figure 6a). *)
+      if
+        t.machine.learning
+        && t.suspicion.(ctx) > 0.001
+        && txn.ws >= txn.ws_limit / 2
+        && Prng.float t.prng < t.suspicion.(ctx)
+      then tabort t ~ctx Eager;
+      Array.unsafe_set t.writers id ctx;
+      txn.ws <- txn.ws + 1;
+      Txn.push_line txn id
+    end;
+    let old = Store.get_unsafe t.store addr in
+    if old != v then begin
+      let bit = undo_bit (Store.line_offset t.store addr) in
+      let m = Array.unsafe_get t.undo_mask id in
+      if m land bit = 0 then begin
+        Txn.push_undo txn addr old;
+        Array.unsafe_set t.undo_mask id (m lor bit)
       end;
       Store.set_unsafe t.store addr v
     end
@@ -665,9 +587,9 @@ let write t ~ctx addr v =
   if t.fast then begin
     (* committed write with nothing to conflict with, no version to stamp
        ([write_slow] via [nontxn_write] with every branch statically
-       false) *)
+       false); rewriting the value already there is skipped *)
     t.stats.non_txn_accesses <- t.stats.non_txn_accesses + 1;
-    Store.set_unsafe t.store addr v
+    Store.set_changed t.store addr v
   end
   else write_slow t ~ctx addr v
 

@@ -27,28 +27,7 @@ val max_ctx : int
     64-bit host), the width of its per-line reader bitsets. *)
 
 val create : ?mode:mode -> ?seed:int -> Machine.t -> 'a Store.t -> 'a t
-(** The engine starts with the in-transaction fast paths set from
-    {!default_hot}.
-    @raise Invalid_argument if [Machine.n_ctx machine > max_ctx]. *)
-
-val default_hot : unit -> bool
-(** Process-wide default for the in-transaction fast paths: [false] when
-    [BENCH_HOT] is [off]/[OFF]/[0]/[no], [true] otherwise. Mirrors the
-    [BENCH_SCHED] knob pattern. *)
-
-val hot : 'a t -> bool
-
-val set_hot : 'a t -> bool -> unit
-(** Enable/disable the per-context line memo that short-circuits
-    re-accesses to lines already in a live transaction's own footprint
-    (and the undo-log write coalescing that rides on it). Both settings
-    replay every observable decision byte-identically; [off] keeps the
-    un-memoized baseline selectable for differential testing. Clears all
-    memos, so it is safe to flip mid-run. *)
-
-val memoized_line : 'a t -> int -> int
-(** Test-only observer: the line id currently memoized for a context, or
-    [-1] when the memo is empty (no live transaction, or invalidated). *)
+(** @raise Invalid_argument if [Machine.n_ctx machine > max_ctx]. *)
 
 val stamp_epoch : 'a t -> int
 (** Bumped whenever any line's version stamp changes (hardware commit
@@ -78,6 +57,11 @@ val footprint_ws : 'a t -> int -> int
     current or just-aborted transaction (rs/ws reset only at {!tbegin}, so
     the rollback closure can attribute footprints to abort events). Two
     accessors rather than a pair, so a commit allocates nothing. *)
+
+val undo_entries : 'a t -> int -> int
+(** Entries in the undo log of the context's live transaction (0 outside
+    one). A cell is logged at most once per transaction, and a write of
+    the value a cell already holds is not logged at all. *)
 
 val drain_step_cost : 'a t -> int * int
 (** [(extra_cycles, accesses)] accrued since the last drain; the runner

@@ -49,6 +49,7 @@ let capacity t = Array.length t.cells
 let brk t = t.brk
 let dummy t = t.dummy
 let line_of t addr = addr lsr t.line_shift
+let line_offset t addr = addr land (t.line_cells - 1)
 
 let set_on_grow t f =
   t.on_grow <- f;
@@ -95,6 +96,12 @@ let set t addr v =
 (* Unchecked accessors for the interpreter's hot path. *)
 let get_unsafe t addr = Array.unsafe_get t.cells addr
 let set_unsafe t addr v = Array.unsafe_set t.cells addr v
+
+(* [set_unsafe] unless the cell already holds [v] (physical equality): a
+   rewrite of the same value skips the write barrier. One call, so the
+   caller's fast path can stay a tail call. *)
+let set_changed t addr v =
+  if Array.unsafe_get t.cells addr != v then Array.unsafe_set t.cells addr v
 
 (* Hand the backing array back for reuse by a later [create ~recycled] and
    neuter the store: any subsequent access through it is a bug and raises.

@@ -30,6 +30,9 @@ val set_on_grow : 'a t -> (int -> unit) -> unit
 val line_of : 'a t -> int -> int
 (** Cache-line id of an address. *)
 
+val line_offset : 'a t -> int -> int
+(** Cell offset of an address within its cache line. *)
+
 val reserve : 'a t -> int -> int
 (** Reserve [n] cells; returns the base address. *)
 
@@ -48,6 +51,10 @@ val get_unsafe : 'a t -> int -> 'a
 
 val set_unsafe : 'a t -> int -> 'a -> unit
 (** Unchecked write for the interpreter's hot path. *)
+
+val set_changed : 'a t -> int -> 'a -> unit
+(** {!set_unsafe} unless the cell already holds the value (physical
+    equality), which skips the write barrier. Unchecked. *)
 
 val retire : 'a t -> 'a array * int
 (** Hand the backing array back for a later [create ~recycled] and neuter

@@ -35,6 +35,30 @@ let create () =
 
 let set_line_resolver t f = t.resolver <- f
 
+(* The resolver a VM layer installs closes over the live VM; a copy that
+   outlives the run keeps only the names of the lines it recorded, so the
+   VM behind it can be collected. *)
+let detach t =
+  let names = Hashtbl.create (Hashtbl.length t.lines) in
+  Hashtbl.iter
+    (fun line _ ->
+      match t.resolver line with
+      | Some name -> Hashtbl.replace names line name
+      | None -> ())
+    t.lines;
+  let sites = Hashtbl.create (Hashtbl.length t.sites) in
+  Hashtbl.iter
+    (fun site c ->
+      Hashtbl.replace sites site { n = c.n; reasons = Hashtbl.copy c.reasons })
+    t.sites;
+  {
+    sites;
+    lines = Hashtbl.copy t.lines;
+    fallbacks = Hashtbl.copy t.fallbacks;
+    resolver = Hashtbl.find_opt names;
+    total = t.total;
+  }
+
 let record t ~code ~pc ~op ~reason ~line =
   t.total <- t.total + 1;
   let key = { s_code = code; s_pc = pc; s_op = op } in

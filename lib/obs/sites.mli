@@ -12,6 +12,12 @@ val set_line_resolver : t -> (int -> string option) -> unit
 (** Installed by the VM layer: names known shared regions ("global
     free-list head", "GIL word", "inline caches", ...) by cache line. *)
 
+val detach : t -> t
+(** A copy of the counts as of now whose line resolver is a plain table
+    holding the region names of the lines recorded so far. It shares
+    nothing with the original, and keeps nothing alive that the installed
+    resolver closes over (a finished run's whole VM). *)
+
 val record :
   t -> code:string -> pc:int -> op:string -> reason:string -> line:int -> unit
 (** Charge one abort; [line] is the conflicting cache line or -1. *)

@@ -20,11 +20,11 @@ type token =
   | NEWLINE
   | EOF
 
-type lexed = { tok : token; line : int; spaced : bool }
+type lexed = { tok : token; line : int; col : int; spaced : bool }
 (** [spaced]: whitespace (or line start) immediately precedes the token —
     Ruby uses this to tell [foo (x).y] (command call) from [foo(x).y]. *)
 
-exception Error of string * int
+exception Error of string * int * int
 
 let keywords =
   [
@@ -56,17 +56,36 @@ let continuation_token = function
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
+  let i = ref 0 in
   let line = ref 1 in
+  let line_start = ref 0 in
+  (* where the token being scanned starts: tokens and lexing errors both
+     report that position, so a multi-line string names its first line *)
+  let tok_line = ref 1 and tok_col = ref 1 in
+  (* just past the last token other than a newline: where end of input is
+     reported, so a missing [end] names the file's last line *)
+  let end_line = ref 1 and end_col = ref 1 in
+  let newline_at k =
+    incr line;
+    line_start := k + 1
+  in
+  let error msg = raise (Error (msg, !tok_line, !tok_col)) in
   let depth = ref 0 in
   let spaced = ref true in
   let emit t =
-    toks := { tok = t; line = !line; spaced = !spaced } :: !toks;
+    toks := { tok = t; line = !tok_line; col = !tok_col; spaced = !spaced } :: !toks;
+    (match t with
+    | NEWLINE -> ()
+    | _ ->
+        end_line := !line;
+        end_col := !i - !line_start + 1);
     spaced := false
   in
   let last_tok () = match !toks with [] -> NEWLINE | t :: _ -> t.tok in
-  let i = ref 0 in
   let peek k = if !i + k < n then src.[!i + k] else '\000' in
   while !i < n do
+    tok_line := !line;
+    tok_col := !i - !line_start + 1;
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\r' then begin
       spaced := true;
@@ -74,7 +93,7 @@ let tokenize src =
     end
     else if c = '\\' && peek 1 = '\n' then begin
       (* explicit line continuation *)
-      incr line;
+      newline_at (!i + 1);
       i := !i + 2
     end
     else if c = '#' then begin
@@ -85,7 +104,7 @@ let tokenize src =
     else if c = '\n' then begin
       if !depth = 0 && not (continuation_token (last_tok ())) then emit NEWLINE;
       spaced := true;
-      incr line;
+      newline_at !i;
       incr i
     end
     else if is_digit c then begin
@@ -115,7 +134,7 @@ let tokenize src =
         let s = String.concat "" (String.split_on_char '_' s) in
         match int_of_string_opt s with
         | Some v -> emit (INT v)
-        | None -> raise (Error ("integer literal out of range: " ^ s, !line))
+        | None -> error ("integer literal out of range: " ^ s)
       end
     end
     else if c = '"' then begin
@@ -124,12 +143,12 @@ let tokenize src =
       incr i;
       let fin = ref false in
       while not !fin do
-        if !i >= n then raise (Error ("unterminated string", !line));
+        if !i >= n then error "unterminated string";
         (match src.[!i] with
         | '"' -> fin := true
         | '\\' ->
             incr i;
-            if !i >= n then raise (Error ("bad escape", !line));
+            if !i >= n then error "bad escape";
             (match src.[!i] with
             | 'n' -> Buffer.add_char buf '\n'
             | 't' -> Buffer.add_char buf '\t'
@@ -148,7 +167,7 @@ let tokenize src =
             let depth_braces = ref 1 in
             let expr = Buffer.create 16 in
             while !depth_braces > 0 do
-              if !i >= n then raise (Error ("unterminated interpolation", !line));
+              if !i >= n then error "unterminated interpolation";
               (match src.[!i] with
               | '{' ->
                   incr depth_braces;
@@ -157,7 +176,7 @@ let tokenize src =
                   decr depth_braces;
                   if !depth_braces > 0 then Buffer.add_char expr '}'
               | '\n' ->
-                  incr line;
+                  newline_at !i;
                   Buffer.add_char expr '\n'
               | ch -> Buffer.add_char expr ch);
               incr i
@@ -165,7 +184,7 @@ let tokenize src =
             i := !i - 1;
             parts := SExpr (Buffer.contents expr) :: !parts
         | '\n' ->
-            incr line;
+            newline_at !i;
             Buffer.add_char buf '\n'
         | ch -> Buffer.add_char buf ch);
         incr i
@@ -246,9 +265,10 @@ let tokenize src =
               ->
                 take (String.make 1 c)
             | _ ->
-                raise
-                  (Error (Printf.sprintf "unexpected character %C" c, !line)))
+                error (Printf.sprintf "unexpected character %C" c))
     end
   done;
+  tok_line := !end_line;
+  tok_col := !end_col;
   emit EOF;
   List.rev !toks

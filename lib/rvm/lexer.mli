@@ -22,10 +22,10 @@ type token =
   | NEWLINE
   | EOF
 
-type lexed = { tok : token; line : int; spaced : bool }
+type lexed = { tok : token; line : int; col : int; spaced : bool }
 
-exception Error of string * int
-(** message, line number *)
+exception Error of string * int * int
+(** message, line, column (both from 1) where the offending token starts *)
 
 val keywords : string list
 val is_keyword : string -> bool

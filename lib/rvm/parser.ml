@@ -2,7 +2,7 @@
 
 open Ast
 
-exception Error of string * int
+exception Error of string * int * int
 
 type state = { toks : Lexer.lexed array; mutable pos : int }
 
@@ -10,10 +10,11 @@ let peek st = st.toks.(st.pos).tok
 let peek_spaced st = st.toks.(st.pos).spaced
 let peek2 st = if st.pos + 1 < Array.length st.toks then st.toks.(st.pos + 1).tok else Lexer.EOF
 let peek2_spaced st = st.pos + 1 < Array.length st.toks && st.toks.(st.pos + 1).spaced
-let line st = st.toks.(st.pos).line
 let advance st = st.pos <- st.pos + 1
 
-let err st msg = raise (Error (msg, line st))
+let err st msg =
+  let t = st.toks.(st.pos) in
+  raise (Error (msg, t.line, t.col))
 
 let tok_to_string : Lexer.token -> string = function
   | INT i -> string_of_int i

@@ -1,7 +1,7 @@
 (** Recursive-descent parser for MiniRuby. *)
 
-exception Error of string * int
-(** message, line number *)
+exception Error of string * int * int
+(** message, line, column (both from 1) of the offending token *)
 
 val tok_to_string : Lexer.token -> string
 

@@ -19,6 +19,19 @@ let activate t =
   Sym.activate t.syms;
   Value.activate_uid_state t.uids
 
+(* Lines the prelude and its separator occupy ahead of the user's source. *)
+let prelude_lines =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 Prelude.source
+
+(* Parse and compile the user's source behind the prelude, reporting a
+   syntax error at its line in the user's source. *)
+let compile_with_prelude source =
+  try Compiler.compile_string (Prelude.source ^ "\n" ^ source) with
+  | Lexer.Error (msg, line, col) ->
+      raise (Lexer.Error (msg, line - prelude_lines, col))
+  | Parser.Error (msg, line, col) ->
+      raise (Parser.Error (msg, line - prelude_lines, col))
+
 let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source =
   (* A fresh per-session interning context and uid counter, activated for
      the whole boot: everything this session assigns is a pure function of
@@ -31,7 +44,7 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source 
   let vm = Vm.create ~opts ~htm_mode machine in
   Builtins.install vm;
   Vm.install_gc_hooks vm;
-  let program = Compiler.compile_string (Prelude.source ^ "\n" ^ source) in
+  let program = compile_with_prelude source in
   Vm.load_program vm program;
   (* the toplevel self ("main"), allocated outside the guest heap *)
   let main_obj = Store.reserve_aligned vm.Vm.store Layout.slot_cells in

@@ -22,3 +22,6 @@ val create :
   Htm_sim.Machine.t ->
   source:string ->
   t
+(** @raise Lexer.Error or Parser.Error with the line and column in
+    [source] (the prelude compiled ahead of it is not counted), or
+    Compiler.Error. *)

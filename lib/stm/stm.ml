@@ -109,19 +109,19 @@ type 'a stx = {
   mutable pending_abort : Txn.abort_reason option;
   mutable abort_line : int;
   (* Read memo: the last line validated into this transaction's read set,
-     as an address range. A hit is valid only while [memo_gen] equals the
+     as an address range. A hit is valid only while [rm_gen] equals the
      transaction's generation (same transaction, same [rv], line already
-     in the read set) AND [memo_epoch] equals the engine's stamp epoch (no
+     in the read set) AND [rm_epoch] equals the engine's stamp epoch (no
      line version anywhere has changed, so the per-read validation outcome
      is unchanged) — then the read skips [Store.line_of], the version
      check and the read-set probe. The hardware-writer probe is NOT
      skippable (hardware transactions cannot see invisible reads), so a
      hit still goes through [Htm.nontxn_read_at]. *)
-  mutable memo_lo : int;
-  mutable memo_hi : int;
-  mutable memo_line : int;
-  mutable memo_gen : int;
-  mutable memo_epoch : int;
+  mutable rm_lo : int;
+  mutable rm_hi : int;
+  mutable rm_line : int;
+  mutable rm_gen : int;
+  mutable rm_epoch : int;
 }
 
 let table_initial = 64
@@ -147,11 +147,11 @@ let stx_create ~dummy ctx =
     rollback = (fun _ -> ());
     pending_abort = None;
     abort_line = -1;
-    memo_lo = max_int;
-    memo_hi = -1;
-    memo_line = -1;
-    memo_gen = -1;
-    memo_epoch = -1;
+    rm_lo = max_int;
+    rm_hi = -1;
+    rm_line = -1;
+    rm_gen = -1;
+    rm_epoch = -1;
   }
 
 type 'a t = {
@@ -318,17 +318,16 @@ let sw_read t ctx addr =
     (* read-your-own-write from the redo log *)
     Array.unsafe_get sx.w_vals (Array.unsafe_get sx.wt_idx i)
   else if
-    Htm.hot t.htm
-    && addr >= sx.memo_lo
-    && addr <= sx.memo_hi
-    && sx.memo_gen = sx.gen
-    && sx.memo_epoch = Htm.stamp_epoch t.htm
+    addr >= sx.rm_lo
+    && addr <= sx.rm_hi
+    && sx.rm_gen = sx.gen
+    && sx.rm_epoch = Htm.stamp_epoch t.htm
   then
     (* memo hit: line already validated into the read set and no version
        stamp anywhere has moved since, so the version check would pass and
        [rset_add] would find the line present — only the hardware-writer
        probe (requester wins) must still run *)
-    Htm.nontxn_read_at t.htm ~ctx ~id:sx.memo_line addr
+    Htm.nontxn_read_at t.htm ~ctx ~id:sx.rm_line addr
   else begin
     (* requester wins: a hardware writer's speculative value must be rolled
        out of the store before we read it *)
@@ -339,14 +338,12 @@ let sw_read t ctx addr =
       raise (Htm.Abort_now Txn.Validation)
     end;
     ignore (rset_add sx id);
-    if Htm.hot t.htm then begin
-      let lo = id * t.line_cells in
-      sx.memo_lo <- lo;
-      sx.memo_hi <- lo + t.line_cells - 1;
-      sx.memo_line <- id;
-      sx.memo_gen <- sx.gen;
-      sx.memo_epoch <- Htm.stamp_epoch t.htm
-    end;
+    let lo = id * t.line_cells in
+    sx.rm_lo <- lo;
+    sx.rm_hi <- lo + t.line_cells - 1;
+    sx.rm_line <- id;
+    sx.rm_gen <- sx.gen;
+    sx.rm_epoch <- Htm.stamp_epoch t.htm;
     v
   end
 

@@ -141,56 +141,12 @@ let test_stats () =
   Alcotest.(check int) "commits" 1 s.Stats.commits;
   Alcotest.(check int) "ws max" 1 s.Stats.ws_max
 
-(* The in-transaction access memo must be installed only while its
-   transaction is live and dropped at every boundary: tbegin, commit,
-   explicit abort, and a conflict abort inflicted by another context. *)
-let test_memo_invalidation () =
+(* Each cell is logged once per transaction: repeated and interleaved
+   rewrites, leaving the line for another and coming back, add no second
+   entry, yet every cell of both lines — the first and the later cells of
+   each — rolls back to its value from before the transaction. *)
+let test_undo_once_per_txn () =
   let store, htm = mk () in
-  Htm.set_hot htm true;
-  let a = Store.reserve_aligned store 64 in
-  let line = Store.line_of store a in
-  Alcotest.(check int) "no memo outside txn" (-1) (Htm.memoized_line htm 0);
-  (* commit boundary *)
-  begin_ htm 0;
-  Alcotest.(check int) "empty at tbegin" (-1) (Htm.memoized_line htm 0);
-  Htm.write htm ~ctx:0 a 1;
-  Alcotest.(check int) "installed after write" line (Htm.memoized_line htm 0);
-  ignore (Htm.read htm ~ctx:0 a);
-  Alcotest.(check int) "still installed after read" line
-    (Htm.memoized_line htm 0);
-  Htm.tend htm ~ctx:0;
-  Alcotest.(check int) "cleared at commit" (-1) (Htm.memoized_line htm 0);
-  (* explicit abort boundary *)
-  begin_ htm 0;
-  Htm.write htm ~ctx:0 a 2;
-  Alcotest.(check int) "installed again" line (Htm.memoized_line htm 0);
-  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
-  Htm.clear_pending_abort htm 0;
-  Alcotest.(check int) "cleared at explicit abort" (-1)
-    (Htm.memoized_line htm 0);
-  (* conflict boundary: ctx 1's write kills ctx 0's transaction and memo *)
-  begin_ htm 0;
-  Htm.write htm ~ctx:0 a 3;
-  Alcotest.(check int) "installed before conflict" line
-    (Htm.memoized_line htm 0);
-  begin_ htm 1;
-  Htm.write htm ~ctx:1 a 4;
-  Alcotest.(check bool) "victim aborted" false (Htm.in_txn htm 0);
-  Alcotest.(check int) "cleared at conflict abort" (-1)
-    (Htm.memoized_line htm 0);
-  Alcotest.(check int) "requester's own memo live" line
-    (Htm.memoized_line htm 1);
-  Htm.tend htm ~ctx:1;
-  Alcotest.(check int) "requester cleared at commit" (-1)
-    (Htm.memoized_line htm 1)
-
-(* Memo-hit writes log each cell of the memoized line once: repeated and
-   interleaved writes to the same cells, with the memo moving to another
-   line and back in between, must still roll back to the values from
-   before the transaction. *)
-let test_undo_coalescing () =
-  let store, htm = mk () in
-  Htm.set_hot htm true;
   let lc = Machine.zec12.line_cells in
   let a = Store.reserve_aligned store (2 * lc) in
   let b = a + lc in
@@ -201,11 +157,15 @@ let test_undo_coalescing () =
   List.iteri
     (fun v addr -> Htm.write htm ~ctx:0 addr v)
     [ a; a + 1; a; a + 5; a + 1; a; a + lc - 1 ];
+  Alcotest.(check int) "four cells of line a, one entry each" 4
+    (Htm.undo_entries htm 0);
   ignore (Htm.read htm ~ctx:0 b);
   List.iteri
     (fun v addr -> Htm.write htm ~ctx:0 addr (50 + v))
-    [ a + 5; a; b; a + 2; a + 5 ];
-  Alcotest.(check int) "newest write visible" 54 (Store.get store (a + 5));
+    [ a + 5; b; a; b + 3; a + 2; b; a + 5 ];
+  Alcotest.(check int) "a + 2, b and b + 3 added one entry each" 7
+    (Htm.undo_entries htm 0);
+  Alcotest.(check int) "newest write visible" 56 (Store.get store (a + 5));
   (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
   for i = 0 to (2 * lc) - 1 do
     Alcotest.(check int)
@@ -213,6 +173,73 @@ let test_undo_coalescing () =
       (100 + i)
       (Store.get store (a + i))
   done
+
+(* The per-line undo mask belongs to one transaction: commit, explicit
+   abort and a conflict abort inflicted by another context all clear it,
+   so the next transaction to write the line logs again and its own abort
+   restores the value that transaction started from. *)
+let test_undo_mask_cleared () =
+  let store, htm = mk () in
+  let a = Store.reserve_aligned store 64 in
+  Store.set store a 7;
+  let write_then_abort ctx v =
+    begin_ htm ctx;
+    Htm.write htm ~ctx a v;
+    Alcotest.(check int) "the write is logged" 1 (Htm.undo_entries htm ctx);
+    (try Htm.tabort htm ~ctx Txn.Explicit with Htm.Abort_now _ -> ());
+    Htm.clear_pending_abort htm ctx
+  in
+  (* commit *)
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 1;
+  Htm.tend htm ~ctx:0;
+  Alcotest.(check int) "no log outside a transaction" 0
+    (Htm.undo_entries htm 0);
+  write_then_abort 0 2;
+  Alcotest.(check int) "abort after a commit restores the commit" 1
+    (Store.get store a);
+  (* explicit abort *)
+  write_then_abort 0 3;
+  Alcotest.(check int) "a second abort restores it again" 1
+    (Store.get store a);
+  (* conflict: ctx 1's write kills ctx 0 and takes the line over *)
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 4;
+  begin_ htm 1;
+  Htm.write htm ~ctx:1 a 5;
+  Alcotest.(check bool) "victim aborted" false (Htm.in_txn htm 0);
+  Htm.clear_pending_abort htm 0;
+  Alcotest.(check int) "the new writer logged the line" 1
+    (Htm.undo_entries htm 1);
+  (try Htm.tabort htm ~ctx:1 Txn.Explicit with Htm.Abort_now _ -> ());
+  Alcotest.(check int) "the requester's abort restores the victim's start" 1
+    (Store.get store a)
+
+(* Writing the value a cell already holds logs and stores nothing, but the
+   line still joins the write set: it counts against the footprint and a
+   reader from another context still kills the writer. *)
+let test_same_value_write () =
+  let store, htm = mk () in
+  let a = Store.reserve_aligned store 64 in
+  Store.set store a 7;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 7;
+  Alcotest.(check int) "nothing logged" 0 (Htm.undo_entries htm 0);
+  Alcotest.(check int) "the line is in the write set" 1
+    (Htm.footprint_ws htm 0);
+  Htm.write htm ~ctx:0 a 8;
+  Alcotest.(check int) "a changed value is logged" 1 (Htm.undo_entries htm 0);
+  Htm.write htm ~ctx:0 a 7;
+  Alcotest.(check int) "a rewrite of a logged cell is not" 1
+    (Htm.undo_entries htm 0);
+  Htm.tend htm ~ctx:0;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 7;
+  begin_ htm 1;
+  ignore (Htm.read htm ~ctx:1 a);
+  Alcotest.(check bool) "a reader still conflicts with the writer" false
+    (Htm.in_txn htm 0);
+  Alcotest.(check int) "the value survives the rollback" 7 (Store.get store a)
 
 (* Serializability on a shared counter: counters incremented under
    transactions with conflict-driven retries end with the exact total. *)
@@ -288,9 +315,11 @@ let suite =
     Alcotest.test_case "SMT halves capacity" `Quick test_read_capacity_xeon_smt;
     Alcotest.test_case "Haswell learning predictor" `Quick test_learning_predictor;
     Alcotest.test_case "stats accounting" `Quick test_stats;
-    Alcotest.test_case "memo invalidation at txn boundaries" `Quick
-      test_memo_invalidation;
-    Alcotest.test_case "memo-hit writes log each cell once" `Quick
-      test_undo_coalescing;
+    Alcotest.test_case "undo mask cleared at txn boundaries" `Quick
+      test_undo_mask_cleared;
+    Alcotest.test_case "each cell logged once per transaction" `Quick
+      test_undo_once_per_txn;
+    Alcotest.test_case "same-value write logs nothing" `Quick
+      test_same_value_write;
     prop_counter_serializable;
   ]

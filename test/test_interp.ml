@@ -577,11 +577,9 @@ let fingerprint (r : Core.Runner.result) =
 
 let pinned_insns line = int_of_string (List.nth (String.split_on_char ' ' line) 1)
 
-let check_pinned ?label pins name (r : Core.Runner.result) =
+let check_pinned pins name (r : Core.Runner.result) =
   match List.assoc_opt name pins with
-  | Some want ->
-      Alcotest.(check string) (Option.value label ~default:name) want
-        (fingerprint r)
+  | Some want -> Alcotest.(check string) name want (fingerprint r)
   | None -> Alcotest.failf "%s: no pinned line" name
 
 (* Single-VM guest corpus under every scheme the figures use. *)
@@ -768,11 +766,10 @@ let suite =
    paths (GIL serialisation, software transactions) — pressure the stock
    grids never reach. Each run gets a finite budget a bit above its pinned
    instruction count, so a divergence fails fast instead of spinning to
-   the global budget; the un-memoized engine (hot=false) must reproduce
-   the same line. *)
-let run_pressure ~scheme ~threads ~machine ~max_insns ?hot
+   the global budget. *)
+let run_pressure ~scheme ~threads ~machine ~max_insns
     (w : Workloads.Workload.t) =
-  let cfg = Core.Runner.config ~scheme ~max_insns ?hot machine in
+  let cfg = Core.Runner.config ~scheme ~max_insns machine in
   let source = w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test in
   match w.Workloads.Workload.kind with
   | Workloads.Workload.Compute ->
@@ -957,12 +954,8 @@ let test_pinned_capacity_pressure () =
                 | Some line -> (3 * pinned_insns line) + 10_000
                 | None -> Alcotest.failf "%s: no pinned line" name
               in
-              let run ?hot () =
-                run_pressure ~scheme ~threads ~machine ~max_insns ?hot w
-              in
-              check_pinned pins_pressure name (run ());
-              check_pinned pins_pressure name ~label:(name ^ " (hot=off)")
-                (run ~hot:false ()))
+              check_pinned pins_pressure name
+                (run_pressure ~scheme ~threads ~machine ~max_insns w))
             [ 1; 2; 4; 6; 8; 12 ])
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
     [ "bt"; "cg"; "ft"; "is"; "lu"; "mg"; "sp"; "webrick" ]

@@ -45,7 +45,7 @@ let test_newlines () =
 
 let test_errors () =
   Alcotest.check_raises "unterminated string"
-    (Lexer.Error ("unterminated string", 1))
+    (Lexer.Error ("unterminated string", 1, 1))
     (fun () -> ignore (Lexer.tokenize {|"abc|}))
 
 let suite =
